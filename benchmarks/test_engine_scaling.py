@@ -35,7 +35,7 @@ def _run(executor: str, workers: int, tmp_path):
     started = time.perf_counter()
     dataset, engine_report = run_engine(config)
     wall = time.perf_counter() - started
-    path = tmp_path / f"{executor}-{workers}.jsonl.gz"
+    path = tmp_path / f"{executor}-{workers}.rcol"
     save_dataset(dataset, path)
     return wall, hashlib.sha256(path.read_bytes()).hexdigest(), engine_report
 

@@ -3,16 +3,15 @@
 Builds a multi-seed catalog from the shared benchmark campaign, then answers
 the same analytical questions two ways:
 
-* **row path** — load each seed's gzipped JSON-lines file into row objects,
-  filter in Python, aggregate with numpy (how the analysis layer worked
-  before :mod:`repro.store`);
+* **row path** — load each seed's saved ``.rcol`` file fully into row
+  objects, filter in Python, aggregate with numpy (how the analysis layer
+  worked before :mod:`repro.store`);
 * **store path** — :mod:`repro.store.query` kernels over the catalog, with
   partition pruning and footer-stats predicate pushdown.
 
 The measured speedups land in ``benchmarks/_reports/store_query.txt``.  The
-pushdown path must be at least 5× faster on the load+filter comparison; in
-practice mmap + columnar projection beats gzip + row materialisation by two
-orders of magnitude.
+pushdown path must be at least 5× faster on the load+filter comparison:
+decoding only the touched columns beats materialising every row object.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ SEEDS = (42, 43, 44, 45)
 
 
 def _build_corpus(dataset, tmp_path):
-    """One row-format file and one catalog partition per seed.
+    """One saved dataset file and one catalog partition per seed.
 
     The same records are re-labelled per seed instead of re-running the
     campaign: the benchmark times storage and query, not generation, and
@@ -43,7 +42,7 @@ def _build_corpus(dataset, tmp_path):
     for seed in SEEDS:
         ds = copy.deepcopy(dataset)
         ds.seed = seed
-        path = tmp_path / f"seed{seed}.jsonl.gz"
+        path = tmp_path / f"seed{seed}.rcol"
         save_dataset(ds, path)
         row_files.append(path)
         catalog.ingest(ds)

@@ -9,7 +9,7 @@ and figure.  This is the end-to-end tour; the benchmark harness
 reports with paper values side by side.
 
 Run:
-    python examples/full_paper_report.py [--scale 0.08] [--save dataset.jsonl.gz]
+    python examples/full_paper_report.py [--scale 0.08] [--save dataset.rcol]
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def main() -> None:
     parser.add_argument("--scale", type=float, default=0.08)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--save", type=str, default=None,
-                        help="optionally persist the dataset here (.jsonl.gz)")
+                        help="optionally persist the dataset here (.rcol)")
     args = parser.parse_args()
 
     print(f"Generating campaign (seed={args.seed}, scale={args.scale}) ...")

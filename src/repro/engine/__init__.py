@@ -16,20 +16,21 @@ same campaign as a set of independent **route shards**:
 The same root seed therefore yields a **bit-identical dataset for any shard
 batching or worker count** — including the serial path used by
 :func:`repro.generate_dataset`.  Robustness rides on top: per-shard
-:mod:`checkpoints <repro.engine.checkpoint>` let an interrupted run resume
-from completed shards, failed workers are retried with bounded budgets (hard
-worker deaths rebuild the process pool), and every run emits an
+checkpoints let an interrupted run resume from completed shards, failed
+workers are retried with bounded budgets (hard worker deaths rebuild the
+process pool), and every run emits an
 :class:`~repro.engine.metrics.EngineReport`.
 
-Two extension points serve multi-run drivers such as :mod:`repro.sweep`:
+A checkpoint directory is a :class:`~repro.sweep.cache.ShardCache` without
+a size bound, addressed by :func:`~repro.engine.checkpoint.config_fingerprint`
+— the same store a sweep's shard cache uses, so a sweep's ``cache_dir`` is
+a valid ``checkpoint_dir`` and :func:`run_engine` replays the shards a
+sweep computed.
 
-* :func:`run_engine` accepts a **pluggable shard-result store** (e.g. the
-  content-addressed :class:`~repro.sweep.cache.ShardCache`) consulted before
-  computing a shard and fed every freshly computed result;
-* :func:`execute_jobs` is the seed-agnostic execution core — tagged batches
-  in, results out — and a :class:`WorkerPool` can be shared across many
-  calls so a 50-seed sweep reuses one process pool instead of spinning up
-  fifty.
+For multi-run drivers such as :mod:`repro.sweep`, :func:`execute_jobs` is
+the seed-agnostic execution core — tagged batches in, results out — and a
+:class:`WorkerPool` can be shared across many calls so a 50-seed sweep
+reuses one process pool instead of spinning up fifty.
 
 Quickstart::
 
@@ -44,12 +45,12 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Protocol, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.campaign.dataset import DriveDataset
 from repro.campaign.runner import CampaignConfig, CampaignWindow
 from repro.campaign.validation import validate_dataset
-from repro.engine.checkpoint import CheckpointStore, config_fingerprint
+from repro.engine.checkpoint import config_fingerprint
 from repro.engine.merge import merge_shard_results
 from repro.engine.metrics import EngineReport, ShardMetrics
 from repro.engine.planner import (
@@ -76,7 +77,6 @@ __all__ = [
     "FaultSpec",
     "PlannerParams",
     "ShardPlan",
-    "ShardResultStore",
     "WorkerPool",
     "build_task_batches",
     "execute_jobs",
@@ -85,24 +85,6 @@ __all__ = [
     "process_pool_usable",
     "run_engine",
 ]
-
-
-class ShardResultStore(Protocol):
-    """A pluggable store of completed shard results.
-
-    ``load_many`` returns every shard it can replay for the given identity;
-    ``store`` is fed each freshly computed result.  Both receive the run's
-    configuration fingerprint and campaign seed, which together with the
-    shard index fully address one shard's computation.  A store may only
-    make a run faster, never wrong: anything it cannot serve verbatim it
-    must omit.
-    """
-
-    def load_many(
-        self, fingerprint: str, seed: int, indices: Sequence[int]
-    ) -> dict[int, ShardResult]: ...
-
-    def store(self, fingerprint: str, seed: int, result: ShardResult) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -119,7 +101,9 @@ class EngineConfig:
     #: ``"process"`` (ProcessPoolExecutor) or ``"serial"`` (in-process).
     executor: str = "process"
     planner: PlannerParams = field(default_factory=PlannerParams)
-    #: Directory for per-shard checkpoints; ``None`` disables them.
+    #: Shard store directory (:class:`~repro.sweep.cache.ShardCache`
+    #: layout, e.g. a sweep's ``cache_dir``) for per-shard checkpoints;
+    #: ``None`` disables them.
     checkpoint_dir: str | None = None
     #: Retries per shard batch before the run is abandoned.
     max_retries: int = 2
@@ -422,7 +406,6 @@ def run_engine(
     config: EngineConfig,
     route: Route | None = None,
     *,
-    shard_store: ShardResultStore | None = None,
     pool: WorkerPool | None = None,
 ) -> tuple[DriveDataset, EngineReport]:
     """Execute a campaign under the sharded engine.
@@ -431,11 +414,11 @@ def run_engine(
     :class:`EngineError` when a shard exhausts its retry budget or (with
     ``config.validate``) the merged dataset violates an invariant.
 
-    ``shard_store`` plugs a shared result store (such as the sweep's
-    content-addressed :class:`~repro.sweep.cache.ShardCache`) under the
-    engine: matching shards are replayed instead of recomputed, and fresh
-    results are stored back.  ``pool`` lets repeated calls share one
-    :class:`WorkerPool` instead of spinning up a process pool per run.
+    With ``config.checkpoint_dir`` set, every shard stored there under this
+    run's fingerprint is replayed instead of recomputed, and workers store
+    each fresh shard the moment it finishes.  ``pool`` lets repeated calls
+    share one :class:`WorkerPool` instead of spinning up a process pool per
+    run.
     """
     tracer = get_tracer(config.trace_path)
     started = time.perf_counter()
@@ -448,32 +431,24 @@ def run_engine(
         with tracer.span("engine.plan"):
             campaign_route = route or build_cross_country_route()
             plan = plan_campaign(config.campaign, campaign_route, config.planner)
-            fingerprint = config_fingerprint(config.campaign, plan)
+            fingerprint = config_fingerprint(config.campaign, plan, campaign_route)
         indices = [PASSIVE_SHARD_INDEX] + [w.index for w in plan.windows]
 
         results: dict[int, ShardResult] = {}
         retries: dict[int, int] = {}
         if config.checkpoint_dir is not None:
+            # Imported lazily: repro.sweep imports this package.
+            from repro.sweep.cache import ShardCache
+
             with tracer.span("engine.checkpoint.load") as sp:
-                store = CheckpointStore(config.checkpoint_dir, fingerprint)
-                results.update(store.load_all(indices))
+                store = ShardCache(config.checkpoint_dir)
+                results.update(
+                    store.load_many(fingerprint, config.campaign.seed, indices)
+                )
+                for result in results.values():
+                    result.from_cache, result.from_checkpoint = False, True
                 retries.update({index: 0 for index in results})
                 sp.set(hits=len(results))
-
-        cache_hits = cache_misses = 0
-        if shard_store is not None:
-            with tracer.span("engine.cache.load") as sp:
-                remaining = [i for i in indices if i not in results]
-                cached = shard_store.load_many(
-                    fingerprint, config.campaign.seed, remaining
-                )
-                for result in cached.values():
-                    result.from_cache = True
-                results.update(cached)
-                retries.update({index: 0 for index in cached})
-                cache_hits = len(cached)
-                cache_misses = len(remaining) - len(cached)
-                sp.set(hits=cache_hits, misses=cache_misses)
 
         pending = [w for w in plan.windows if w.index not in results]
         passive_pending = PASSIVE_SHARD_INDEX not in results
@@ -484,8 +459,6 @@ def run_engine(
             for outcome in outcomes:
                 results[outcome.index] = outcome
                 retries[outcome.index] = attempt
-                if shard_store is not None:
-                    shard_store.store(fingerprint, config.campaign.seed, outcome)
 
         with tracer.span("engine.execute") as exec_span:
             batches = build_task_batches(
@@ -508,8 +481,6 @@ def run_engine(
             n_windows=plan.n_windows,
             n_batches=len(batches),
             pool_rebuilds=stats.pool_rebuilds,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
         )
 
         merge_started = time.perf_counter()
@@ -557,13 +528,11 @@ def run_engine(
         if tracer.enabled:
             driver = MetricsRegistry()
             driver.count("engine.runs", 1)
-            driver.count("engine.cache.hits", cache_hits)
-            driver.count("engine.cache.misses", cache_misses)
             driver.count("engine.pool_rebuilds", stats.pool_rebuilds)
             driver.count("engine.retries", sum(retries.values()))
             # Fold worker snapshots in sorted shard order so the merged
             # section is identical for every executor topology.  Replayed
-            # shards (checkpoint/cache) fold too: their sidecars carry the
+            # checkpoint shards fold too: their sidecars carry the
             # snapshot recorded when the shard was computed, and the results
             # dict holds each shard exactly once, so a resumed run reports
             # the same shard-level totals as an uninterrupted one.

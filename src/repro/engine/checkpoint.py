@@ -1,58 +1,86 @@
-"""Per-shard checkpointing: resume an interrupted campaign from disk.
+"""Checkpoint identity: the fingerprint every stored shard is addressed by.
 
-Each completed shard is persisted as two sibling files in the checkpoint
-directory:
+Completed shards are persisted in a :class:`~repro.sweep.cache.ShardCache`
+— an engine checkpoint directory is simply a shard cache without a size
+bound — under the key ``(config_fingerprint, shard_index, seed)``.  On
+start-up the engine replays every stored shard whose key matches the
+current run and recomputes the rest.
 
-* ``shard-<index>.ds.gz`` — the shard-local dataset, in the exact gzipped
-  JSON-lines format of :mod:`repro.campaign.persistence` (atomic,
-  byte-reproducible);
-* ``shard-<index>.meta.json`` — a small sidecar carrying the configuration
-  fingerprint, the cell-count statistics that live outside the dataset, and
-  bookkeeping (wall time, record count).
+The fingerprint commits to everything a shard's bytes depend on:
 
-On start-up the engine loads every checkpoint whose fingerprint matches the
-current run — seed, scale, cycle plan, and the exact window decomposition
-all participate in the fingerprint, so a checkpoint written by a different
-configuration (or an incompatible engine version) is silently ignored and
-the shard recomputed.  Corrupt or truncated files are likewise treated as
-absent: a checkpoint can make a run faster, never wrong.
+* the campaign knobs (seed, scale, tick, test cycle, app durations);
+* the exact window decomposition of the plan;
+* the route geometry (:func:`route_digest`) — two routes of equal length
+  that differ in one segment's region are different computations;
+* the on-disk format version and the model code itself
+  (:func:`source_digest`), so editing a calibration constant invalidates
+  every stored shard without anyone bumping a version by hand.
+
+A checkpoint written by any other computation is therefore never replayed:
+a checkpoint can make a run faster, never wrong.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import os
 import pathlib
 
-from repro.campaign.persistence import FORMAT_VERSION, load_dataset, save_dataset
 from repro.campaign.runner import CampaignConfig
-from repro.engine.planner import PASSIVE_SHARD_INDEX, ShardPlan
-from repro.engine.worker import ShardResult
-from repro.errors import ReproError
-from repro.radio.operators import Operator
+from repro.engine.planner import ShardPlan
+from repro.geo.route import Route
+from repro.store.format import STORE_FORMAT_VERSION
 
-__all__ = [
-    "CheckpointStore",
-    "config_fingerprint",
-    "shard_key",
-    "shard_meta",
-    "shard_from_parts",
-    "shard_stem",
-]
+__all__ = ["config_fingerprint", "route_digest", "source_digest"]
 
-#: Bump when the shard execution semantics change in a way that makes old
-#: checkpoints unmergeable.
-ENGINE_CHECKPOINT_VERSION = 1
-
-_OP = {op.name: op for op in Operator}
+_PACKAGE_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def config_fingerprint(config: CampaignConfig, plan: ShardPlan) -> str:
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 over every ``.py`` source of the ``repro`` package.
+
+    Computed on first use and memoized for the life of the process, so
+    importing the package costs nothing.
+    """
+    h = hashlib.sha256()
+    for path in sorted(_PACKAGE_ROOT.rglob("*.py")):
+        h.update(path.relative_to(_PACKAGE_ROOT).as_posix().encode("utf-8"))
+        h.update(b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def route_digest(route: Route) -> str:
+    """SHA-256 of a route's geometry: every segment and the city list."""
+    payload = {
+        "segments": [
+            [
+                [s.start_point.lat, s.start_point.lon],
+                [s.end_point.lat, s.end_point.lon],
+                s.length_m,
+                s.region.name,
+                s.city,
+            ]
+            for s in route.segments
+        ],
+        "cities": [
+            [c.name, c.location.lat, c.location.lon, c.has_edge_server]
+            for c in route.cities
+        ],
+    }
+    canon = json.dumps(payload, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def config_fingerprint(config: CampaignConfig, plan: ShardPlan, route: Route) -> str:
     """Digest identifying the exact computation a checkpoint belongs to."""
     payload = {
-        "engine_version": ENGINE_CHECKPOINT_VERSION,
-        "format": FORMAT_VERSION,
+        "format": STORE_FORMAT_VERSION,
+        "source": source_digest(),
+        "route": route_digest(route),
         "seed": config.seed,
         "scale": config.scale,
         "tick_s": config.tick_s,
@@ -69,123 +97,3 @@ def config_fingerprint(config: CampaignConfig, plan: ShardPlan) -> str:
     }
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def shard_stem(index: int) -> str:
-    """Canonical file stem of one shard (``shard-0007``, ``shard-passive``)."""
-    return "shard-passive" if index == PASSIVE_SHARD_INDEX else f"shard-{index:04d}"
-
-
-def shard_key(fingerprint: str, index: int, seed: int) -> str:
-    """Content address of one shard result.
-
-    The digest of ``(config_fingerprint, shard_index, shard_seed)`` — the
-    complete identity of a shard's computation.  The fingerprint already
-    commits to the campaign seed, but the seed participates explicitly so a
-    key is self-describing and survives fingerprint-scheme evolution.
-    """
-    canon = f"{fingerprint}:{shard_stem(index)}:{seed}"
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def shard_meta(result: ShardResult, fingerprint: str) -> dict:
-    """JSON-able sidecar describing one shard result (sans dataset).
-
-    The metrics snapshot a traced worker recorded rides along, so a shard
-    replayed from a checkpoint or cache re-enters the run report with the
-    counters of the computation that produced it — a resumed run's merged
-    metrics match an uninterrupted run's (resume parity).
-    """
-    meta = {
-        "fingerprint": fingerprint,
-        "index": result.index,
-        "wall_s": result.wall_s,
-        "records": result.records,
-        "active_cells": {op.name: n for op, n in result.active_cells.items()},
-        "macro_cells": {op.name: n for op, n in result.macro_cells.items()},
-    }
-    if result.metrics is not None:
-        meta["metrics"] = result.metrics
-    return meta
-
-
-def shard_from_parts(index: int, meta: dict, dataset) -> ShardResult:
-    """Rebuild a :class:`ShardResult` from its sidecar and dataset."""
-    metrics = meta.get("metrics")
-    return ShardResult(
-        index=index,
-        dataset=dataset,
-        active_cells={
-            _OP[name]: n for name, n in meta.get("active_cells", {}).items()
-        },
-        macro_cells={
-            _OP[name]: n for name, n in meta.get("macro_cells", {}).items()
-        },
-        wall_s=float(meta.get("wall_s", 0.0)),
-        metrics=metrics if isinstance(metrics, dict) else None,
-    )
-
-
-class CheckpointStore:
-    """Reads and writes per-shard checkpoint files in one directory."""
-
-    def __init__(self, directory: str | os.PathLike, fingerprint: str) -> None:
-        self.directory = pathlib.Path(directory)
-        self.fingerprint = fingerprint
-
-    # -- paths ------------------------------------------------------------
-
-    def dataset_path(self, index: int) -> pathlib.Path:
-        return self.directory / f"{shard_stem(index)}.ds.gz"
-
-    def meta_path(self, index: int) -> pathlib.Path:
-        return self.directory / f"{shard_stem(index)}.meta.json"
-
-    # -- write ------------------------------------------------------------
-
-    def store(self, result: ShardResult) -> None:
-        """Persist one shard result; both files are written atomically."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        save_dataset(result.dataset, self.dataset_path(result.index))
-        meta = shard_meta(result, self.fingerprint)
-        path = self.meta_path(result.index)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(meta, sort_keys=True, indent=1))
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-
-    # -- read -------------------------------------------------------------
-
-    def load(self, index: int) -> ShardResult | None:
-        """Load one shard if a valid, fingerprint-matching checkpoint exists.
-
-        Any inconsistency — missing file, corrupt gzip/JSON, foreign
-        fingerprint — returns ``None`` so the engine recomputes the shard.
-        """
-        meta_path = self.meta_path(index)
-        ds_path = self.dataset_path(index)
-        try:
-            meta = json.loads(meta_path.read_text())
-            if meta.get("fingerprint") != self.fingerprint:
-                return None
-            if meta.get("index") != index:
-                return None
-            dataset = load_dataset(ds_path)
-            result = shard_from_parts(index, meta, dataset)
-        except (OSError, ValueError, KeyError, EOFError, ReproError):
-            return None
-        result.from_checkpoint = True
-        return result
-
-    def load_all(self, indices: list[int]) -> dict[int, ShardResult]:
-        """Load every valid checkpoint among ``indices``."""
-        found: dict[int, ShardResult] = {}
-        if not self.directory.is_dir():
-            return found
-        for index in indices:
-            result = self.load(index)
-            if result is not None:
-                found[index] = result
-        return found

@@ -93,8 +93,9 @@ class EngineReport:
     merge_s: float = 0.0
     pool_rebuilds: int = 0
     validated: bool = False
-    #: Shards served from / missed by the pluggable shard-result store
-    #: (zero when no store is configured; checkpoints count separately).
+    #: Shards served from / missed by a sweep's shard cache (zero for a
+    #: ``run_engine`` run, whose replayed checkpoints count in
+    #: :attr:`checkpoint_hits`).
     cache_hits: int = 0
     cache_misses: int = 0
     #: Optional merged metrics snapshot (``repro.obs.metrics`` shape:
@@ -124,7 +125,7 @@ class EngineReport:
         )
 
     def cache_hit_ratio(self) -> float:
-        """Hits over store lookups; 0.0 when no store was configured."""
+        """Hits over shard-cache lookups; 0.0 when nothing was looked up."""
         looked_up = self.cache_hits + self.cache_misses
         return self.cache_hits / looked_up if looked_up else 0.0
 

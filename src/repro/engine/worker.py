@@ -220,12 +220,12 @@ def execute_shard(task: ShardTask) -> ShardResult:
             registry.observe("engine.shard_s", result.wall_s)
             result.metrics = registry.snapshot()
         if task.checkpoint_dir:
-            # Imported lazily so the worker module stays import-light.
-            from repro.engine.checkpoint import CheckpointStore
+            # Imported lazily: repro.sweep imports the engine package.
+            from repro.sweep.cache import ShardCache
 
             with tracer.span("engine.checkpoint.store", index=task.index):
-                CheckpointStore(task.checkpoint_dir, task.fingerprint).store(
-                    result
+                ShardCache(task.checkpoint_dir).store(
+                    task.fingerprint, task.config.seed, result
                 )
     return result
 

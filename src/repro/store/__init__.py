@@ -34,7 +34,7 @@ Quickstart::
 
 Or from the command line::
 
-    python -m repro.store ingest out/store out/seed41.jsonl.gz
+    python -m repro.store ingest out/store out/seed41.rcol
     python -m repro.store query out/store --table tput --column tput_mbps \\
         --where operator=VERIZON --where static=false --agg p50
 """

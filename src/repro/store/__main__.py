@@ -2,8 +2,8 @@
 
 Examples::
 
-    # Ingest saved datasets (row JSON-lines or columnar) into a catalog
-    python -m repro.store ingest out/store out/seed41.jsonl.gz out/seed42.jsonl.gz
+    # Ingest saved .rcol datasets into a catalog
+    python -m repro.store ingest out/store out/seed41.rcol out/seed42.rcol
 
     # What does the catalog (or one .rcol file) hold?
     python -m repro.store inspect out/store
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("catalog", help="catalog directory (created if missing)")
     p_ingest.add_argument(
         "datasets", nargs="+",
-        help="dataset files to ingest (.jsonl.gz row format or .rcol columnar)",
+        help="saved .rcol dataset files to ingest (see save_dataset)",
     )
     p_ingest.add_argument(
         "--label", default=None,

@@ -192,7 +192,7 @@ class Catalog:
         return info
 
     def ingest_file(self, dataset_path: str | os.PathLike, **kwargs) -> PartitionInfo:
-        """Load a saved dataset (row or columnar format) and ingest it."""
+        """Load a saved ``.rcol`` dataset and ingest it."""
         from repro.campaign.persistence import load_dataset
 
         return self.ingest(load_dataset(dataset_path), **kwargs)

@@ -514,8 +514,7 @@ def _build_gaming(v: dict) -> GamingRunResult:
     )
 
 
-#: Columnar schema of every record family, keyed by the same section names
-#: the JSON-lines persistence format uses.
+#: Columnar schema of every record family, keyed by table name.
 TABLE_SCHEMAS: dict[str, TableSchema] = {
     "tput": _schema(
         "tput",

@@ -14,10 +14,13 @@ stats.  A reader parses the footer from the tail without scanning the file,
 then decodes only the columns a query touches, straight out of an ``mmap``
 (plain numeric columns are zero-copy views).
 
-Like :mod:`repro.campaign.persistence`, writes are **atomic** (unique temp
-sibling + ``os.replace``) and **byte-stable** (no timestamps, sorted JSON
-keys, deterministic encodings), so equal datasets produce equal files and
-shard checkpointing can rely on byte comparison.
+This is the repository's one dataset format: saved datasets
+(:mod:`repro.campaign.persistence`), shard checkpoints and sweep cache
+entries (:mod:`repro.sweep.cache`) and catalog partitions all use it.
+Writes are **atomic** (unique temp sibling + ``os.replace``) and
+**byte-stable** (no timestamps, sorted JSON keys, deterministic encodings),
+so equal datasets produce equal files and shard checkpointing can rely on
+byte comparison.
 
 ``schema_version`` (the ``format`` footer field) is checked on open, the
 same contract as ``EngineReport``/``SweepReport``; every structural change

@@ -14,7 +14,9 @@ aggregate repeated vantage-point runs.  It is built directly on the
    under the executor: shards are keyed on ``(config_fingerprint,
    shard_index, shard_seed)``, so repeated sweeps — the same seeds again, a
    superset of seeds, a resumed run — replay overlapping shards instead of
-   recomputing them, with LRU size bounding and hit/miss counters;
+   recomputing them, with LRU size bounding and hit/miss counters.  It is
+   the same store the engine checkpoints into, so a sweep's ``cache_dir``
+   is a valid ``EngineConfig.checkpoint_dir``;
 3. the **statistics layer** (:mod:`repro.sweep.stats`) evaluates a registry
    of paper statistics on each seed's merged dataset and aggregates them
    into mean/median/std plus percentile-bootstrap confidence intervals;
@@ -216,7 +218,9 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
                 plan = plan_campaign(
                     engine_cfg.campaign, campaign_route, config.planner
                 )
-                fingerprint = config_fingerprint(engine_cfg.campaign, plan)
+                fingerprint = config_fingerprint(
+                    engine_cfg.campaign, plan, campaign_route
+                )
                 indices = [PASSIVE_SHARD_INDEX] + [w.index for w in plan.windows]
 
                 seed_results: dict[int, ShardResult] = {}

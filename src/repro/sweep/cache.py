@@ -1,31 +1,33 @@
-"""Content-addressed shard cache shared across sweeps, seeds, and scales.
+"""The shard store: content-addressed shard results on disk.
 
 Every shard an engine run computes is a pure function of
-``(config_fingerprint, shard_index, shard_seed)``; this cache stores shard
-results under the SHA-256 of exactly that triple
-(:func:`repro.engine.checkpoint.shard_key`), so *any* later run that plans
-an identical shard — the same seed re-appearing in a different sweep, a
-resumed campaign, a re-run at the same scale — replays it instead of
-recomputing it.
+``(config_fingerprint, shard_index, shard_seed)``
+(:func:`repro.engine.checkpoint.config_fingerprint`); this store keeps shard
+results under the SHA-256 of exactly that triple, so *any* later run that
+plans an identical shard — the same seed re-appearing in a different sweep,
+a resumed campaign, a re-run at the same scale — replays it instead of
+recomputing it.  It is the only shard store: a sweep's ``cache_dir`` and an
+engine's ``checkpoint_dir`` are the same kind of directory, so either can
+serve the other.  A checkpoint directory is a store without a size bound.
 
 On-disk layout (one entry per shard, fanned out by key prefix)::
 
-    <cache_dir>/objects/<key[:2]>/<key>/
-        data.ds.gz    shard-local dataset, gzipped JSON-lines
-                      (byte-reproducible, atomic — campaign.persistence)
+    <directory>/objects/<key[:2]>/<key>/
+        data.rcol     shard-local dataset, columnar
+                      (byte-reproducible, atomic — repro.store.format)
         meta.json     sidecar: fingerprint, seed, index, cell counts,
-                      wall time, record count
+                      wall time, record count, metrics snapshot
 
 Guarantees:
 
 * **Atomic writes** — both files land via temp-file + ``os.replace``, and
   ``meta.json`` is written last, so a torn entry is never visible: an entry
   without a valid sidecar is simply a miss.
-* **Safe reads** — a hit must match fingerprint, seed, *and* index; corrupt
-  gzip/JSON or foreign entries are treated as absent.  A cache can make a
-  run faster, never wrong.
+* **Safe reads** — a hit must match fingerprint, seed, *and* index; a
+  truncated or corrupt ``.rcol`` file, an unreadable sidecar, or a foreign
+  entry is treated as absent.  A store can make a run faster, never wrong.
 * **LRU size bounding** — with ``max_bytes`` set, the store evicts
-  least-recently-used entries (hits refresh recency) until the cache fits.
+  least-recently-used entries (hits refresh recency) until it fits.
   Recency is stamped from a **logical clock** — strictly increasing, seeded
   at or above every existing entry's timestamp — so access order survives
   coarse-mtime filesystems (batch hits would otherwise tie and fall back to
@@ -33,14 +35,11 @@ Guarantees:
   outrank the shard that was *just* used).
 * **Counters** — hits/misses/stores/evictions accumulate in
   :class:`CacheStats` for the sweep report.
-
-The class implements the engine's ``ShardResultStore`` protocol, so it can
-be plugged straight into :func:`repro.engine.run_engine` via
-``shard_store=``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -50,15 +49,56 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.campaign.persistence import load_dataset, save_dataset
-from repro.engine.checkpoint import shard_from_parts, shard_key, shard_meta
+from repro.engine.planner import PASSIVE_SHARD_INDEX
 from repro.engine.worker import ShardResult
 from repro.errors import ReproError, SweepError
 from repro.obs.metrics import MetricsRegistry
+from repro.radio.operators import Operator
 
-__all__ = ["CacheStats", "ShardCache"]
+__all__ = ["CacheStats", "ShardCache", "shard_stem"]
 
-_DATA_NAME = "data.ds.gz"
+_DATA_NAME = "data.rcol"
 _META_NAME = "meta.json"
+
+
+def shard_stem(index: int) -> str:
+    """Canonical name of one shard (``shard-0007``, ``shard-passive``)."""
+    return "shard-passive" if index == PASSIVE_SHARD_INDEX else f"shard-{index:04d}"
+
+
+def _shard_meta(result: ShardResult, fingerprint: str, seed: int) -> dict:
+    """JSON-able sidecar describing one shard result (sans dataset).
+
+    The metrics snapshot a traced worker recorded rides along, so a replayed
+    shard re-enters the run report with the counters of the computation
+    that produced it — a resumed run's merged metrics match an
+    uninterrupted run's (resume parity).
+    """
+    meta = {
+        "fingerprint": fingerprint,
+        "seed": seed,
+        "index": result.index,
+        "wall_s": result.wall_s,
+        "records": result.records,
+        "active_cells": {op.name: n for op, n in result.active_cells.items()},
+        "macro_cells": {op.name: n for op, n in result.macro_cells.items()},
+    }
+    if result.metrics is not None:
+        meta["metrics"] = result.metrics
+    return meta
+
+
+def _shard_from_parts(index: int, meta: dict, dataset) -> ShardResult:
+    """Rebuild a :class:`ShardResult` from its sidecar and dataset."""
+    metrics = meta.get("metrics")
+    return ShardResult(
+        index=index,
+        dataset=dataset,
+        active_cells={Operator[name]: n for name, n in meta["active_cells"].items()},
+        macro_cells={Operator[name]: n for name, n in meta["macro_cells"].items()},
+        wall_s=float(meta["wall_s"]),
+        metrics=metrics if isinstance(metrics, dict) else None,
+    )
 
 
 @dataclass
@@ -89,7 +129,7 @@ class CacheStats:
 
 
 class ShardCache:
-    """Content-addressed, LRU-bounded store of shard results on disk."""
+    """Content-addressed, optionally LRU-bounded store of shard results."""
 
     def __init__(
         self,
@@ -120,8 +160,16 @@ class ShardCache:
 
     @staticmethod
     def key(fingerprint: str, index: int, seed: int) -> str:
-        """Content address of one shard (see :func:`shard_key`)."""
-        return shard_key(fingerprint, index, seed)
+        """Content address of one shard result.
+
+        The digest of ``(config_fingerprint, shard_index, shard_seed)`` —
+        the complete identity of a shard's computation.  The fingerprint
+        already commits to the campaign seed, but the seed participates
+        explicitly so a key is self-describing and survives
+        fingerprint-scheme evolution.
+        """
+        canon = f"{fingerprint}:{shard_stem(index)}:{seed}"
+        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def entry_dir(self, key: str) -> pathlib.Path:
         return self.directory / "objects" / key[:2] / key
@@ -146,7 +194,7 @@ class ShardCache:
             ):
                 raise ValueError("cache entry does not match its address")
             dataset = load_dataset(entry / _DATA_NAME)
-            result = shard_from_parts(index, meta, dataset)
+            result = _shard_from_parts(index, meta, dataset)
         except (OSError, ValueError, KeyError, EOFError, ReproError):
             self.stats.misses += 1
             self._count("cache.misses")
@@ -186,8 +234,7 @@ class ShardCache:
         entry = self.entry_dir(self.key(fingerprint, result.index, seed))
         entry.mkdir(parents=True, exist_ok=True)
         save_dataset(result.dataset, entry / _DATA_NAME)
-        meta = shard_meta(result, fingerprint)
-        meta["seed"] = seed
+        meta = _shard_meta(result, fingerprint, seed)
         meta_path = entry / _META_NAME
         tmp = meta_path.with_name(f"{_META_NAME}.{os.getpid()}.tmp")
         try:

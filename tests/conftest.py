@@ -64,7 +64,7 @@ def engine_dataset_bytes(ds, tmp_dir) -> bytes:
     """Canonical serialised form of a dataset (saves are byte-reproducible)."""
     from repro.campaign.persistence import save_dataset
 
-    path = tmp_dir / "digest.jsonl.gz"
+    path = tmp_dir / "digest.rcol"
     save_dataset(ds, path)
     data = path.read_bytes()
     path.unlink()

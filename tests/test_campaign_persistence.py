@@ -1,18 +1,15 @@
 """Dataset save/load round trip."""
 
-import gzip
-import json
-
 import pytest
 
-from repro.campaign.persistence import FORMAT_VERSION, load_dataset, save_dataset
-from repro.errors import LogFormatError
+from repro.campaign.persistence import load_dataset, save_dataset
+from repro.errors import ReproError
 from repro.radio.operators import Operator
 
 
 @pytest.fixture(scope="module")
 def saved(bare_dataset, tmp_path_factory):
-    path = tmp_path_factory.mktemp("persist") / "dataset.jsonl.gz"
+    path = tmp_path_factory.mktemp("persist") / "dataset.rcol"
     save_dataset(bare_dataset, path)
     return path, bare_dataset
 
@@ -63,7 +60,7 @@ class TestRoundTrip:
 
 class TestAppRunsRoundTrip:
     def test_app_records_preserved(self, dataset, tmp_path):
-        path = tmp_path / "full.jsonl.gz"
+        path = tmp_path / "full.rcol"
         save_dataset(dataset, path)
         loaded = load_dataset(path)
         assert len(loaded.offload_runs) == len(dataset.offload_runs)
@@ -76,36 +73,36 @@ class TestAppRunsRoundTrip:
 
 class TestAtomicSave:
     def test_byte_reproducible(self, bare_dataset, tmp_path):
-        a = tmp_path / "a.jsonl.gz"
-        b = tmp_path / "b.jsonl.gz"
+        a = tmp_path / "a.rcol"
+        b = tmp_path / "b.rcol"
         save_dataset(bare_dataset, a)
         save_dataset(bare_dataset, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_overwrite_is_atomic(self, bare_dataset, tmp_path, monkeypatch):
         """A crash mid-write must leave an existing file untouched."""
-        path = tmp_path / "dataset.jsonl.gz"
+        path = tmp_path / "dataset.rcol"
         save_dataset(bare_dataset, path)
         good = path.read_bytes()
 
-        import repro.campaign.persistence as persistence
+        import repro.store.format as fmt
 
         def boom(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(persistence.os, "fsync", boom)
+        monkeypatch.setattr(fmt.os, "fsync", boom)
         with pytest.raises(OSError):
             save_dataset(bare_dataset, path)
         assert path.read_bytes() == good
 
     def test_no_temp_file_left_behind(self, bare_dataset, tmp_path, monkeypatch):
-        path = tmp_path / "dataset.jsonl.gz"
-        import repro.campaign.persistence as persistence
+        path = tmp_path / "dataset.rcol"
+        import repro.store.format as fmt
 
         def boom(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(persistence.os, "fsync", boom)
+        monkeypatch.setattr(fmt.os, "fsync", boom)
         with pytest.raises(OSError):
             save_dataset(bare_dataset, path)
         assert list(tmp_path.iterdir()) == []
@@ -113,43 +110,14 @@ class TestAtomicSave:
 
 class TestErrorHandling:
     def test_not_a_dataset(self, tmp_path):
-        path = tmp_path / "junk.gz"
-        with gzip.open(path, "wt") as fh:
-            fh.write("this is not json\n")
-        with pytest.raises(LogFormatError):
-            load_dataset(path)
-
-    def test_missing_header(self, tmp_path):
-        path = tmp_path / "noheader.gz"
-        with gzip.open(path, "wt") as fh:
-            fh.write(json.dumps({"kind": "tput"}) + "\n")
-        with pytest.raises(LogFormatError):
-            load_dataset(path)
-
-    def test_wrong_version(self, tmp_path):
-        path = tmp_path / "future.gz"
-        with gzip.open(path, "wt") as fh:
-            fh.write(json.dumps({
-                "kind": "header", "format": FORMAT_VERSION + 1,
-                "seed": 0, "scale": 1.0, "route_length_km": 1.0,
-            }) + "\n")
-        with pytest.raises(LogFormatError):
-            load_dataset(path)
-
-    def test_unknown_record_kind(self, tmp_path):
-        path = tmp_path / "badkind.gz"
-        with gzip.open(path, "wt") as fh:
-            fh.write(json.dumps({
-                "kind": "header", "format": FORMAT_VERSION,
-                "seed": 0, "scale": 1.0, "route_length_km": 1.0,
-            }) + "\n")
-            fh.write(json.dumps({"kind": "mystery"}) + "\n")
-        with pytest.raises(LogFormatError):
+        path = tmp_path / "junk.rcol"
+        path.write_bytes(b"this is not a dataset\n")
+        with pytest.raises(ReproError):
             load_dataset(path)
 
 
 class TestColumnarBackend:
-    """save/load dispatch to the columnar store backend transparently."""
+    """Every saved dataset is one columnar store file."""
 
     def test_auto_format_by_suffix(self, bare_dataset, tmp_path):
         from repro.store import is_store_file
@@ -160,24 +128,3 @@ class TestColumnarBackend:
         back = load_dataset(path)
         assert back.throughput_samples == bare_dataset.throughput_samples
         assert back.passive_coverage == bare_dataset.passive_coverage
-
-    def test_explicit_format_overrides_suffix(self, bare_dataset, tmp_path):
-        from repro.store import is_store_file
-
-        path = tmp_path / "dataset.jsonl.gz"
-        save_dataset(bare_dataset, path, format="columnar")
-        assert is_store_file(path)
-        # load_dataset sniffs magic, not the suffix, so this still loads.
-        back = load_dataset(path)
-        assert back.rtt_samples == bare_dataset.rtt_samples
-
-    def test_unknown_format_rejected(self, bare_dataset, tmp_path):
-        with pytest.raises(ValueError, match="unknown dataset format"):
-            save_dataset(bare_dataset, tmp_path / "x", format="parquet")
-
-    def test_both_backends_value_identical(self, bare_dataset, tmp_path):
-        row_path = tmp_path / "row.jsonl.gz"
-        col_path = tmp_path / "col.rcol"
-        save_dataset(bare_dataset, row_path, format="jsonl")
-        save_dataset(bare_dataset, col_path, format="columnar")
-        assert load_dataset(row_path) == load_dataset(col_path)

@@ -4,7 +4,6 @@ Every recovery path must converge on the byte-identical dataset of a clean
 run — fault tolerance may cost time, never correctness.
 """
 
-import gzip
 import json
 
 import pytest
@@ -17,8 +16,10 @@ from repro.engine import (
     PlannerParams,
     run_engine,
 )
-from repro.engine.checkpoint import CheckpointStore
+from repro.engine.checkpoint import config_fingerprint
+from repro.engine.planner import PASSIVE_SHARD_INDEX, plan_campaign
 from repro.errors import EngineError
+from repro.geo.route import build_cross_country_route
 from repro.obs.report import load_summary, validate_trace
 from repro.obs.trace import iter_trace, reset_tracers
 
@@ -27,6 +28,29 @@ PLANNER = PlannerParams(window_km=ENGINE_WINDOW_KM)
 
 def engine_config(**overrides):
     return EngineConfig(campaign=ENGINE_CAMPAIGN, planner=PLANNER, **overrides)
+
+
+def checkpoint_cache(ckpt):
+    """``ckpt`` as a shard store, the ENGINE_CAMPAIGN run's fingerprint that
+    addresses its entries, and the run's shard indices."""
+    from repro.sweep.cache import ShardCache
+
+    route = build_cross_country_route()
+    plan = plan_campaign(ENGINE_CAMPAIGN, route, PLANNER)
+    indices = [PASSIVE_SHARD_INDEX] + [w.index for w in plan.windows]
+    return ShardCache(ckpt), config_fingerprint(ENGINE_CAMPAIGN, plan, route), indices
+
+
+def stored_shards(ckpt):
+    """Sorted indices of the ENGINE_CAMPAIGN shards ``ckpt`` can replay."""
+    cache, fingerprint, indices = checkpoint_cache(ckpt)
+    return sorted(cache.load_many(fingerprint, ENGINE_CAMPAIGN.seed, indices))
+
+
+def shard_entry(ckpt, index):
+    """Entry directory of one ENGINE_CAMPAIGN shard in ``ckpt``."""
+    cache, fingerprint, _ = checkpoint_cache(ckpt)
+    return cache.entry_dir(cache.key(fingerprint, index, ENGINE_CAMPAIGN.seed))
 
 
 class TestRetries:
@@ -124,10 +148,8 @@ class TestCheckpointResume:
                     inject_faults={3: FaultSpec(times=1, kind="raise")},
                 )
             )
-        stored = sorted(p.name for p in ckpt.glob("*.ds.gz"))
-        assert "shard-passive.ds.gz" in stored
-        assert "shard-0000.ds.gz" in stored
-        assert "shard-0003.ds.gz" not in stored
+        stored = stored_shards(ckpt)
+        assert stored == [PASSIVE_SHARD_INDEX, 0, 1, 2]
 
         # Second run resumes from the checkpoints and completes cleanly.
         ds, report = run_engine(
@@ -192,10 +214,10 @@ class TestCheckpointResume:
         ckpt = tmp_path / "ckpt"
         run_engine(engine_config(executor="serial", checkpoint_dir=str(ckpt)))
 
-        (ckpt / "shard-0001.ds.gz").write_bytes(b"not a gzip stream")
-        with gzip.open(ckpt / "shard-0002.ds.gz", "wb") as fh:
-            fh.write(b'{"kind": "header"')  # truncated JSON
-        meta = ckpt / "shard-0000.meta.json"
+        (shard_entry(ckpt, 1) / "data.rcol").write_bytes(b"not a store file")
+        data = shard_entry(ckpt, 2) / "data.rcol"
+        data.write_bytes(data.read_bytes()[:-7])  # truncated
+        meta = shard_entry(ckpt, 0) / "meta.json"
         meta.write_text(json.dumps({"fingerprint": "bogus"}))
 
         ds, report = run_engine(
@@ -219,9 +241,9 @@ class TestCheckpointResume:
                     inject_faults={9: FaultSpec(times=1, kind="raise")},
                 )
             )
-        stored = sorted(p.name for p in ckpt.glob("*.ds.gz"))
-        assert "shard-0008.ds.gz" in stored
-        assert "shard-0009.ds.gz" not in stored
+        stored = stored_shards(ckpt)
+        assert 8 in stored
+        assert 9 not in stored
 
 
 class TestResumeMetricsParity:
@@ -298,13 +320,6 @@ class TestResumeMetricsParity:
             replayed.metrics["counters"]["engine.shards_computed"]
             == clean.metrics["counters"]["engine.shards_computed"]
         )
-
-
-class TestCheckpointStore:
-    def test_load_missing_returns_none(self, tmp_path):
-        store = CheckpointStore(tmp_path, "fp")
-        assert store.load(0) is None
-        assert store.load_all([0, 1, -1]) == {}
 
 
 class TestTraceIntegrity:

@@ -73,7 +73,7 @@ class TestIngest:
     def test_ingest_file_roundtrips_row_format(
         self, seeded_datasets, tmp_path
     ):
-        src = tmp_path / "seed7.jsonl.gz"
+        src = tmp_path / "seed7.rcol"
         save_dataset(seeded_datasets[7], src)
         with Catalog(tmp_path / "cat2") as cat:
             info = cat.ingest_file(src)
@@ -136,7 +136,7 @@ class TestCli:
     def test_ingest_inspect_query(self, seeded_datasets, tmp_path, capsys):
         files = []
         for seed, ds in seeded_datasets.items():
-            path = tmp_path / f"seed{seed}.jsonl.gz"
+            path = tmp_path / f"seed{seed}.rcol"
             save_dataset(ds, path)
             files.append(str(path))
         store = str(tmp_path / "store")

@@ -159,14 +159,13 @@ class TestCorruption:
                 reader.table("tput").array("test_id")
 
     def test_not_a_store_file_via_load_dataset(self, tmp_path):
-        from repro.errors import LogFormatError
         from repro.campaign.persistence import load_dataset
 
         path = tmp_path / "junk.rcol"
         path.write_bytes(STORE_MAGIC + b"\x00" * 3)  # magic but no tail
         with pytest.raises(StoreError):
             load_dataset(path)
-        junk = tmp_path / "junk2.jsonl.gz"
-        junk.write_bytes(b"definitely not gzip")
-        with pytest.raises((LogFormatError, OSError)):
+        junk = tmp_path / "junk2.rcol"
+        junk.write_bytes(b"definitely not a store file")
+        with pytest.raises(StoreError, match="bad magic"):
             load_dataset(junk)

@@ -1,11 +1,12 @@
-"""The content-addressed shard cache: correctness before speed.
+"""The shard store (sweep cache and engine checkpoints): correctness first.
 
-A cache entry is addressed by ``(config_fingerprint, shard_index,
+A store entry is addressed by ``(config_fingerprint, shard_index,
 shard_seed)`` — the complete identity of a shard's computation — so the
 cardinal sin would be serving a shard that belongs to a different
 computation.  These tests pin the three safety properties (address
 revalidation, corrupt-entry rejection, atomic visibility) plus the
-operational ones (LRU bounding, counters).
+operational ones (LRU bounding, counters), and the fingerprint's commitment
+to the model code.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import json
 import pytest
 
 from repro.campaign.dataset import DriveDataset, RttSample
-from repro.engine.checkpoint import shard_key, shard_stem
-from repro.engine.planner import PASSIVE_SHARD_INDEX
+from repro.engine.planner import PASSIVE_SHARD_INDEX, plan_campaign
 from repro.engine.worker import ShardResult
 from repro.errors import SweepError
 from repro.geo.regions import RegionType
@@ -24,7 +24,7 @@ from repro.geo.timezones import Timezone
 from repro.net.servers import ServerKind
 from repro.radio.operators import Operator
 from repro.radio.technology import RadioTechnology
-from repro.sweep.cache import ShardCache
+from repro.sweep.cache import ShardCache, shard_stem
 
 FP = "a" * 64
 OTHER_FP = "b" * 64
@@ -56,11 +56,12 @@ def make_result(index: int = 0, seed: int = 42, n_rtts: int = 1) -> ShardResult:
 
 class TestAddressing:
     def test_key_depends_on_all_three_coordinates(self):
-        base = shard_key(FP, 0, 42)
-        assert shard_key(FP, 0, 42) == base
-        assert shard_key(OTHER_FP, 0, 42) != base
-        assert shard_key(FP, 1, 42) != base
-        assert shard_key(FP, 0, 43) != base
+        key = ShardCache.key
+        base = key(FP, 0, 42)
+        assert key(FP, 0, 42) == base
+        assert key(OTHER_FP, 0, 42) != base
+        assert key(FP, 1, 42) != base
+        assert key(FP, 0, 43) != base
 
     def test_passive_shard_has_its_own_stem(self):
         assert shard_stem(PASSIVE_SHARD_INDEX) == "shard-passive"
@@ -128,7 +129,25 @@ class TestInvalidation:
         cache = ShardCache(tmp_path)
         cache.store(FP, 42, make_result())
         entry = cache.entry_dir(cache.key(FP, 0, 42))
-        (entry / "data.ds.gz").write_bytes(b"not a gzip stream")
+        (entry / "data.rcol").write_bytes(b"not a store file")
+        assert cache.load(FP, 42, 0) is None
+
+    def test_truncated_dataset_misses(self, tmp_path):
+        cache = ShardCache(tmp_path)
+        cache.store(FP, 42, make_result(n_rtts=20))
+        data = cache.entry_dir(cache.key(FP, 0, 42)) / "data.rcol"
+        payload = data.read_bytes()
+        for size in (len(payload) // 2, len(payload) - 1, 8, 0):
+            data.write_bytes(payload[:size])
+            assert cache.load(FP, 42, 0) is None, size
+        assert cache.stats.hits == 0
+
+    def test_bad_tail_magic_misses(self, tmp_path):
+        cache = ShardCache(tmp_path)
+        cache.store(FP, 42, make_result())
+        data = cache.entry_dir(cache.key(FP, 0, 42)) / "data.rcol"
+        payload = data.read_bytes()
+        data.write_bytes(payload[:-4] + b"XXXX")
         assert cache.load(FP, 42, 0) is None
 
     def test_corrupt_sidecar_misses(self, tmp_path):
@@ -239,3 +258,55 @@ class TestLruBounding:
     def test_invalid_bound_rejected(self, tmp_path):
         with pytest.raises(SweepError):
             ShardCache(tmp_path, max_bytes=0)
+
+
+class TestCheckpointStore:
+    """An engine checkpoint directory is a shard store without a bound."""
+
+    def test_load_missing_returns_none(self, tmp_path):
+        store = ShardCache(tmp_path / "never-written")
+        assert store.load(FP, 42, 0) is None
+        assert store.load_many(FP, 42, [0, 1, PASSIVE_SHARD_INDEX]) == {}
+        assert not (tmp_path / "never-written").exists()
+
+
+class TestFingerprintCommitsToSource:
+    """Editing model code must invalidate every stored shard."""
+
+    def test_source_digest_changes_fingerprint_and_misses(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine import EngineConfig, PlannerParams, run_engine
+        from repro.engine import checkpoint
+        from repro.geo.route import build_cross_country_route
+        from tests.conftest import (
+            ENGINE_CAMPAIGN,
+            ENGINE_WINDOW_KM,
+            engine_dataset_bytes,
+        )
+
+        route = build_cross_country_route()
+        planner = PlannerParams(window_km=ENGINE_WINDOW_KM)
+        plan = plan_campaign(ENGINE_CAMPAIGN, route, planner)
+        config = EngineConfig(
+            campaign=ENGINE_CAMPAIGN, planner=planner, executor="serial",
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        base = checkpoint.config_fingerprint(ENGINE_CAMPAIGN, plan, route)
+        cold, _ = run_engine(config)
+        _, warm = run_engine(config)
+        assert warm.checkpoint_hits == len(warm.shards)
+
+        monkeypatch.setattr(checkpoint, "source_digest", lambda: "0" * 64)
+        assert checkpoint.config_fingerprint(ENGINE_CAMPAIGN, plan, route) != base
+        edited, report = run_engine(config)
+        assert report.checkpoint_hits == 0
+        assert engine_dataset_bytes(edited, tmp_path) == engine_dataset_bytes(
+            cold, tmp_path
+        )
+
+    def test_source_digest_is_memoized(self):
+        from repro.engine.checkpoint import source_digest
+
+        assert source_digest() is source_digest()
+        assert len(source_digest()) == 64

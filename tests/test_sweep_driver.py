@@ -8,6 +8,7 @@ warm cache — and a warm re-sweep must be served entirely from cache.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -15,8 +16,9 @@ import pytest
 from tests.conftest import ENGINE_CAMPAIGN, ENGINE_WINDOW_KM, engine_dataset_bytes
 from repro.engine import EngineConfig, PlannerParams, run_engine
 from repro.errors import SweepError
+from repro.geo.regions import RegionType
+from repro.geo.route import Route, build_cross_country_route
 from repro.sweep import SweepConfig, SweepReport, run_sweep
-from repro.sweep.cache import ShardCache
 from repro.sweep.report import SWEEP_SCHEMA_VERSION
 
 SEEDS = (ENGINE_CAMPAIGN.seed, ENGINE_CAMPAIGN.seed + 1)
@@ -174,20 +176,49 @@ class TestCacheReplay:
         assert all(r.cache_hits == 0 for r in result.report.seed_runs)
 
     def test_sweep_cache_serves_run_engine(self, swept, engine_baseline, tmp_path):
-        """The cache is one namespace: run_engine replays sweep shards."""
+        """One store: a sweep's cache_dir is a valid checkpoint_dir, and
+        run_engine replays every sweep-computed shard byte-identically."""
         _, _, sweep_tmp = swept
         _, base = engine_baseline
-        cache = ShardCache(sweep_tmp / "shard-cache")
         ds, report = run_engine(
             EngineConfig(
-                campaign=ENGINE_CAMPAIGN, executor="serial", planner=PLANNER
-            ),
-            shard_store=cache,
+                campaign=ENGINE_CAMPAIGN, executor="serial", planner=PLANNER,
+                checkpoint_dir=str(sweep_tmp / "shard-cache"),
+            )
         )
         assert engine_dataset_bytes(ds, tmp_path) == base
-        assert report.cache_hits == len(report.shards)
-        assert report.cache_misses == 0
-        assert report.cache_hit_ratio() == 1.0
+        assert report.checkpoint_hits == len(report.shards)
+        assert report.n_batches == 0
+
+    def test_other_route_never_replays(self, swept, tmp_path):
+        """Regression: the fingerprint ignored the route geometry, so a
+        route of equal length that differs in one segment's region replayed
+        the first route's shards from the same cache."""
+        _, _, sweep_tmp = swept
+        route_a = build_cross_country_route()
+        index = next(
+            i for i, seg in enumerate(route_a.segments)
+            if seg.region is RegionType.HIGHWAY
+        )
+        segments = list(route_a.segments)
+        segments[index] = dataclasses.replace(
+            segments[index], region=RegionType.SUBURBAN
+        )
+        route_b = Route(segments=segments, cities=route_a.cities)
+        assert route_b.total_length_m == route_a.total_length_m
+
+        seeds = (SEEDS[0],)
+        cached = run_sweep(
+            sweep_config(
+                sweep_tmp, seeds=seeds, cache_dir=str(sweep_tmp / "shard-cache")
+            ),
+            route_b,
+        )
+        fresh = run_sweep(sweep_config(tmp_path, seeds=seeds, cache_dir=None), route_b)
+        assert cached.cache.stats.hits == 0
+        assert engine_dataset_bytes(
+            cached.datasets[SEEDS[0]], tmp_path
+        ) == engine_dataset_bytes(fresh.datasets[SEEDS[0]], tmp_path)
 
 
 class TestSweepReport:
