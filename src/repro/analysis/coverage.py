@@ -4,6 +4,8 @@ Coverage is measured in *miles driven* per technology.  For the active
 (XCAL-during-tests) view, each 500 ms throughput sample is weighted by the
 distance the vehicle covered during it (speed × 0.5 s); for the passive
 (handover-logger) view, each zone's technology covers its road length.
+Both shares are grouped sums over :mod:`repro.store.query` columns, so they
+run alike on an in-memory dataset, a store file, or a catalog.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from repro.errors import AnalysisError
 from repro.geo.timezones import Timezone
 from repro.radio.operators import Operator
 from repro.radio.technology import ALL_TECHNOLOGIES, HIGH_THROUGHPUT_TECHS, RadioTechnology
-from repro.units import SPEED_BIN_LABELS, speed_bin
+from repro.store import query
+from repro.store.query import Between, Eq, where_speed_bin
+from repro.units import SPEED_BIN_LABELS
 
 __all__ = [
     "CoverageShares",
     "active_coverage_shares",
-    "active_coverage_shares_from_store",
     "passive_coverage_shares",
-    "passive_coverage_shares_from_store",
     "coverage_by_timezone",
     "coverage_by_speed_bin",
     "coverage_by_direction",
@@ -58,9 +60,11 @@ class CoverageShares:
         return 100.0 * self.shares.get(tech, 0.0)
 
 
-def _shares_from_weights(
-    operator: Operator, weights: dict[RadioTechnology, float]
-) -> CoverageShares:
+def _shares_from_sums(operator: Operator, sums: dict[str, float]) -> CoverageShares:
+    """Shares from per-technology weight sums keyed by technology name."""
+    weights: dict[RadioTechnology, float] = {t: 0.0 for t in ALL_TECHNOLOGIES}
+    for name, weight in sums.items():
+        weights[RadioTechnology[name]] += weight
     total = sum(weights.values())
     if total <= 0.0:
         raise AnalysisError(f"no coverage weight for {operator}")
@@ -72,96 +76,67 @@ def _shares_from_weights(
 
 
 def active_coverage_shares(
-    dataset: DriveDataset,
+    source: DriveDataset | query.Source,
     operator: Operator,
     direction: str | None = None,
     timezone: Timezone | None = None,
     speed_bin_label: str | None = None,
+    *,
+    seeds: tuple[int, ...] | None = None,
 ) -> CoverageShares:
     """Fig. 2 — distance-weighted technology shares from the active tests.
 
-    Static samples are excluded (they cover no distance); optional filters
-    slice by direction (Fig. 2b), timezone (Fig. 2c) or the paper's speed
-    bins (Fig. 2d).
+    Each driving sample weighs its speed (the distance it covered); static
+    samples are excluded (they cover no distance), and so are samples with
+    a negative or NaN speed, which cover no known distance.  Optional
+    filters slice by direction (Fig. 2b), timezone (Fig. 2c) or the paper's
+    speed bins (Fig. 2d).  ``source`` is a dataset or any
+    :mod:`repro.store.query` source; ``seeds`` restricts a catalog.
     """
-    weights: dict[RadioTechnology, float] = {t: 0.0 for t in ALL_TECHNOLOGIES}
-    for s in dataset.tput(operator=operator, direction=direction, static=False):
-        if timezone is not None and s.timezone is not timezone:
-            continue
-        if speed_bin_label is not None and speed_bin(s.speed_mph) != speed_bin_label:
-            continue
-        weights[s.tech] += max(s.speed_mph, 0.0)
-    return _shares_from_weights(operator, weights)
-
-
-def passive_coverage_shares(dataset: DriveDataset, operator: Operator) -> CoverageShares:
-    """Fig. 1 (passive view) — shares from the handover-logger phones."""
-    weights: dict[RadioTechnology, float] = {t: 0.0 for t in ALL_TECHNOLOGIES}
-    for seg in dataset.passive_coverage:
-        if seg.operator is operator:
-            weights[seg.tech] += seg.length_m
-    return _shares_from_weights(operator, weights)
-
-
-def passive_coverage_shares_from_store(
-    source, operator: Operator, *, seeds=None
-) -> CoverageShares:
-    """Fig. 1 shares straight off a columnar store, no row objects.
-
-    ``source`` is a :class:`repro.store.DatasetReader` or
-    :class:`repro.store.Catalog`; one grouped-sum kernel pass replaces the
-    per-segment Python loop of :func:`passive_coverage_shares`, and catalog
-    partitions whose stats exclude ``operator`` are never even opened.
-    """
-    from repro.store.query import Eq, group_total
-
-    sums = group_total(
-        source, "passive", "tech", "length_m",
-        where=(Eq("operator", operator),), seeds=seeds,
-    )
-    weights: dict[RadioTechnology, float] = {t: 0.0 for t in ALL_TECHNOLOGIES}
-    for name, length_m in sums.items():
-        weights[RadioTechnology[name]] += length_m
-    return _shares_from_weights(operator, weights)
-
-
-def active_coverage_shares_from_store(
-    source,
-    operator: Operator,
-    direction: str | None = None,
-    speed_bin_label: str | None = None,
-    *,
-    seeds=None,
-) -> CoverageShares:
-    """Fig. 2 distance-weighted shares off a columnar store.
-
-    Mirrors :func:`active_coverage_shares` (static samples excluded, speed
-    as the distance weight) through the query engine's grouped-sum kernel.
-    Negative speed weights cannot occur in stored data, so no clamping is
-    needed.
-    """
-    from repro.store.query import Eq, group_total, where_speed_bin
-
-    where = [Eq("operator", operator), Eq("static", False)]
+    where = [
+        Eq("operator", operator),
+        Eq("static", False),
+        Between("speed_mph", lo=0.0),
+    ]
     if direction is not None:
         where.append(Eq("direction", direction))
+    if timezone is not None:
+        where.append(Eq("timezone", timezone))
     if speed_bin_label is not None:
         where.append(where_speed_bin(speed_bin_label))
-    sums = group_total(
-        source, "tput", "tech", "speed_mph", where=tuple(where), seeds=seeds
+    sums = query.group_total(
+        query.as_source(source), "tput", "tech", "speed_mph",
+        where=tuple(where), seeds=seeds,
     )
-    weights: dict[RadioTechnology, float] = {t: 0.0 for t in ALL_TECHNOLOGIES}
-    for name, weight in sums.items():
-        weights[RadioTechnology[name]] += weight
-    return _shares_from_weights(operator, weights)
+    return _shares_from_sums(operator, sums)
+
+
+def passive_coverage_shares(
+    source: DriveDataset | query.Source,
+    operator: Operator,
+    *,
+    seeds: tuple[int, ...] | None = None,
+) -> CoverageShares:
+    """Fig. 1 (passive view) — shares from the handover-logger phones.
+
+    One grouped sum of segment length per technology; ``source`` is a
+    dataset or any :mod:`repro.store.query` source, and catalog partitions
+    whose stats exclude ``operator`` are never opened.
+    """
+    sums = query.group_total(
+        query.as_source(source), "passive", "tech", "length_m",
+        where=(Eq("operator", operator),), seeds=seeds,
+    )
+    return _shares_from_sums(operator, sums)
 
 
 def coverage_by_direction(
     dataset: DriveDataset, operator: Operator
 ) -> dict[str, CoverageShares]:
     """Fig. 2b — coverage split by backlogged traffic direction."""
+    source = query.as_source(dataset)
     return {
-        direction: active_coverage_shares(dataset, operator, direction=direction)
+        direction: active_coverage_shares(source, operator, direction=direction)
         for direction in ("downlink", "uplink")
     }
 
@@ -170,10 +145,11 @@ def coverage_by_timezone(
     dataset: DriveDataset, operator: Operator
 ) -> dict[Timezone, CoverageShares]:
     """Fig. 2c — coverage per timezone."""
+    source = query.as_source(dataset)
     out: dict[Timezone, CoverageShares] = {}
     for tz in Timezone:
         try:
-            out[tz] = active_coverage_shares(dataset, operator, timezone=tz)
+            out[tz] = active_coverage_shares(source, operator, timezone=tz)
         except AnalysisError:
             continue  # a small-scale dataset may not sample every zone
     return out
@@ -183,10 +159,11 @@ def coverage_by_speed_bin(
     dataset: DriveDataset, operator: Operator
 ) -> dict[str, CoverageShares]:
     """Fig. 2d — coverage per speed bin (0-20 / 20-60 / 60+ mph)."""
+    source = query.as_source(dataset)
     out: dict[str, CoverageShares] = {}
     for label in SPEED_BIN_LABELS:
         try:
-            out[label] = active_coverage_shares(dataset, operator, speed_bin_label=label)
+            out[label] = active_coverage_shares(source, operator, speed_bin_label=label)
         except AnalysisError:
             continue
     return out

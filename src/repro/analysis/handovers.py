@@ -18,12 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.cdf import EmpiricalCDF
 from repro.campaign.dataset import DriveDataset, ThroughputSample
 from repro.campaign.tests import TestType
 from repro.errors import AnalysisError
 from repro.mobility.events import HandoverType
 from repro.radio.operators import Operator
+from repro.store import query
+from repro.store.query import Eq
+from repro.units import meters_to_miles
 
 __all__ = [
     "handovers_per_mile",
@@ -40,22 +45,45 @@ _THROUGHPUT_TEST_TYPES = {
 
 
 def handovers_per_mile(
-    dataset: DriveDataset, operator: Operator, direction: str
+    source: DriveDataset | query.Source,
+    operator: Operator,
+    direction: str,
+    *,
+    seeds: tuple[int, ...] | None = None,
 ) -> EmpiricalCDF:
-    """Fig. 11a — handovers per mile, one value per 30 s throughput test."""
-    test_type = _THROUGHPUT_TEST_TYPES[direction]
-    ho_by_test: dict[int, int] = {}
-    for h in dataset.handovers_of(operator=operator, direction=direction):
-        ho_by_test[h.test_id] = ho_by_test.get(h.test_id, 0) + 1
-    rates = []
-    for t in dataset.tests_of(test_type=test_type, operator=operator, static=False):
-        miles = t.distance_miles
-        if miles < 0.02:
-            continue  # parked in traffic: a per-mile rate is meaningless
-        rates.append(ho_by_test.get(t.test_id, 0) / miles)
-    if not rates:
+    """Fig. 11a — handovers per mile, one value per 30 s throughput test.
+
+    Per partition of ``source`` (a dataset or any query source; ``seeds``
+    restricts a catalog), each driving test's handovers are counted from
+    the ``ho`` table's test ids and divided by the miles the test covered.
+    """
+    tests = (
+        Eq("test_type", _THROUGHPUT_TEST_TYPES[direction]),
+        Eq("operator", operator),
+        Eq("static", False),
+    )
+    handovers = (Eq("operator", operator), Eq("direction", direction))
+    rates = [np.empty(0)]
+    for part in query.partitions(query.as_source(source), seeds=seeds):
+        test_ids = query.select(part, "test", "test_id", tests)
+        if test_ids.size == 0:
+            continue
+        miles = meters_to_miles(
+            query.select(part, "test", "end_mark_m", tests)
+            - query.select(part, "test", "start_mark_m", tests)
+        )
+        # Test ids are sparse (shard-offset), so count by sorted search
+        # rather than a bincount sized to the largest id.
+        ho_ids = np.sort(query.select(part, "ho", "test_id", handovers))
+        per_test = np.searchsorted(ho_ids, test_ids, "right") - np.searchsorted(
+            ho_ids, test_ids, "left"
+        )
+        usable = miles >= 0.02  # parked in traffic: a per-mile rate is meaningless
+        rates.append(per_test[usable] / miles[usable])
+    values = np.concatenate(rates)
+    if values.size == 0:
         raise AnalysisError(f"no usable tests for {operator} {direction}")
-    return EmpiricalCDF.from_values(rates)
+    return EmpiricalCDF.from_values(values)
 
 
 def handover_durations(

@@ -15,8 +15,10 @@ records at scale (cf. cniCloud's queryable measurement warehouse):
    versioned; exact value round-trip with the row path;
 3. **query engine** (:mod:`repro.store.query`) — projection, predicate
    pushdown against footer stats, and aggregation kernels (count, sum,
-   mean, percentiles, CDFs, grouped sums) feeding the analysis layer
-   without ever materialising row objects;
+   mean, percentiles, CDFs, grouped sums) — the one place the paper
+   statistics and their analysis functions are computed, over a file, a
+   catalog, or a lazily-encoded :class:`DatasetView` of an in-memory
+   dataset;
 4. **catalog** (:mod:`repro.store.catalog`) — per-seed partitions behind a
    manifest whose copied stats prune whole files before any byte is read.
 
@@ -48,6 +50,7 @@ from repro.store.format import (
     STORE_FORMAT_VERSION,
     STORE_SUFFIX,
     DatasetReader,
+    DatasetView,
     is_store_file,
     read_dataset,
     write_dataset,
@@ -57,10 +60,12 @@ from repro.store.query import (
     Eq,
     In,
     QueryStats,
+    as_source,
     cdf,
     count,
     group_total,
     mean,
+    partitions,
     percentile,
     select,
     total,
@@ -71,6 +76,7 @@ __all__ = [
     "Between",
     "Catalog",
     "DatasetReader",
+    "DatasetView",
     "Eq",
     "In",
     "PartitionInfo",
@@ -78,11 +84,13 @@ __all__ = [
     "STORE_FORMAT_VERSION",
     "STORE_SUFFIX",
     "TABLE_SCHEMAS",
+    "as_source",
     "cdf",
     "count",
     "group_total",
     "is_store_file",
     "mean",
+    "partitions",
     "percentile",
     "query",
     "read_dataset",

@@ -228,16 +228,22 @@ def encode_column(spec: ColumnSpec, raw_values: list[Any]) -> EncodedColumn:
             spec.name, "bool", arr, 1, "<u1", _numeric_stats(arr)
         )
     if spec.kind == "dict":
-        strings = [
-            v.name if isinstance(v, enum.Enum) else str(v) for v in raw_values
-        ]
+        # Code each distinct *object* first (enum members are singletons, so
+        # this is one C-level pass), then merge objects with equal strings:
+        # the codes are those of the strings in first-appearance order.
+        distinct = dict(zip(map(id, raw_values), raw_values))
+        object_code = {key: i for i, key in enumerate(distinct)}
         table: dict[str, int] = {}
-        codes = np.empty(n, dtype="<u4")
-        for i, s in enumerate(strings):
-            code = table.get(s)
-            if code is None:
-                code = table.setdefault(s, len(table))
-            codes[i] = code
+        merged = [
+            table.setdefault(
+                v.name if isinstance(v, enum.Enum) else str(v), len(table)
+            )
+            for v in distinct.values()
+        ]
+        codes = np.asarray(merged, dtype="<u4")[
+            np.fromiter(map(object_code.__getitem__, map(id, raw_values)),
+                        dtype=np.intp, count=n)
+        ]
         cardinality = max(len(table), 1)
         width = 1 if cardinality <= 0xFF else 2 if cardinality <= 0xFFFF else 4
         codes = codes.astype(_CODE_DTYPES[width])
@@ -337,7 +343,7 @@ def decode_dict_column(entry: dict, payload: bytes | memoryview) -> list[str]:
 
 @dataclass(frozen=True)
 class TableSchema:
-    """Columnar schema of one record family: shred and rebuild rows."""
+    """Columnar schema of one record family: column getters, row builder."""
 
     name: str
     columns: tuple[ColumnSpec, ...]
@@ -354,14 +360,6 @@ class TableSchema:
             f"table {self.name!r} has no column {name!r}; "
             f"known: {[c.name for c in self.columns]}"
         )
-
-    def shred(self, records: list[Any]) -> list[EncodedColumn]:
-        """Encode the records column by column."""
-        encoded = []
-        for spec in self.columns:
-            get = self.getters[spec.name]
-            encoded.append(encode_column(spec, [get(r) for r in records]))
-        return encoded
 
     def assemble(self, columns: dict[str, list[Any]], count: int) -> list[Any]:
         """Rebuild row records from decoded per-column Python values."""

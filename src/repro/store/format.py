@@ -45,9 +45,11 @@ from repro.store.columnar import (
     TABLE_ATTRS,
     TABLE_SCHEMAS,
     ColumnStats,
+    EncodedColumn,
     decode_column,
     decode_dict_column,
     decoded_value,
+    encode_column,
 )
 
 __all__ = [
@@ -55,6 +57,7 @@ __all__ = [
     "STORE_MAGIC",
     "STORE_SUFFIX",
     "DatasetReader",
+    "DatasetView",
     "TableReader",
     "is_store_file",
     "read_dataset",
@@ -75,18 +78,18 @@ STORE_SUFFIX = ".rcol"
 def write_dataset(dataset: DriveDataset, path: str | pathlib.Path) -> None:
     """Write a dataset as one columnar store file, atomically."""
     path = pathlib.Path(path)
+    view = DatasetView(dataset)
     tables: dict[str, Any] = {}
     chunks: list[bytes] = []
     offset = len(STORE_MAGIC)
-    for table_name, schema in TABLE_SCHEMAS.items():
-        records = getattr(dataset, TABLE_ATTRS[table_name])
-        encoded = schema.shred(records)
+    for table in view.tables():
         columns = []
-        for col in encoded:
+        for name in table.column_names:
+            col = table.encoded(name)
             columns.append(col.footer_entry(offset))
             chunks.append(col.payload)
             offset += len(col.payload)
-        tables[table_name] = {"count": len(records), "columns": columns}
+        tables[table.name] = {"count": table.count, "columns": columns}
     footer = {
         "format": STORE_FORMAT_VERSION,
         "meta": {
@@ -321,6 +324,77 @@ class DatasetReader:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+class _ViewTable(TableReader):
+    """One table of a :class:`DatasetView`: columns encoded on first use."""
+
+    def __init__(self, name: str, records: list[Any]) -> None:
+        self.name = name
+        self.count = len(records)
+        self._records = records
+        self._schema = TABLE_SCHEMAS[name]
+        self._columns: dict[str, dict] = {}
+        self._encoded: dict[str, EncodedColumn] = {}
+
+    @property
+    def column_names(self) -> tuple[str, ...]:
+        return tuple(spec.name for spec in self._schema.columns)
+
+    def encoded(self, name: str) -> EncodedColumn:
+        """The column as :func:`write_dataset` writes it, encoded once."""
+        col = self._encoded.get(name)
+        if col is None:
+            spec = self._schema.column(name)  # unknown names raise here
+            get = self._schema.getters[name]
+            col = encode_column(spec, list(map(get, self._records)))
+            self._encoded[name] = col
+            self._columns[name] = col.footer_entry(0)
+        return col
+
+    def column_entry(self, name: str) -> dict:
+        self.encoded(name)
+        return self._columns[name]
+
+    def _payload(self, entry: dict) -> bytes:
+        return self._encoded[entry["name"]].payload
+
+
+class DatasetView:
+    """A :class:`DatasetReader` over an in-memory dataset, for the query kernels.
+
+    Each ``(table, column)`` is encoded lazily, on first use, by the same
+    encoder :func:`write_dataset` uses, and decoded like a file column, so
+    every array is exactly what the dataset's ``.rcol`` file would return.
+    The view reads the dataset's record lists in place: build it after the
+    dataset is complete.
+    """
+
+    def __init__(self, dataset: DriveDataset) -> None:
+        self._dataset = dataset
+        self.seed = dataset.seed
+        self.passive_handover_counts = dataset.passive_handover_counts
+        self.connected_cells = dataset.connected_cells
+        self._tables: dict[str, _ViewTable] = {}
+
+    @property
+    def table_names(self) -> tuple[str, ...]:
+        return tuple(TABLE_SCHEMAS)
+
+    def table(self, name: str) -> _ViewTable:
+        table = self._tables.get(name)
+        if table is None:
+            if name not in TABLE_ATTRS:
+                raise StoreError(
+                    f"dataset has no table {name!r}; known: {sorted(TABLE_ATTRS)}"
+                )
+            records = getattr(self._dataset, TABLE_ATTRS[name])
+            table = self._tables[name] = _ViewTable(name, records)
+        return table
+
+    def tables(self) -> Iterator[_ViewTable]:
+        for name in self.table_names:
+            yield self.table(name)
 
 
 def read_dataset(path: str | pathlib.Path) -> DriveDataset:

@@ -16,9 +16,11 @@ row object:
   figure uses), plus a grouped sum for coverage-share style queries.
 
 Sources are polymorphic: any kernel runs over one open
-:class:`~repro.store.format.DatasetReader` or over a whole
-:class:`~repro.store.catalog.Catalog`, where the partition manifest prunes
-by seed and by the same footer stats before any file is opened.
+:class:`~repro.store.format.DatasetReader`, over a
+:class:`~repro.store.format.DatasetView` of an in-memory dataset (see
+:func:`as_source`), or over a whole :class:`~repro.store.catalog.Catalog`,
+where the partition manifest prunes by seed and by the same footer stats
+before any file is opened.
 
 Predicates compare against Python-level values: enums (``Operator.VERIZON``),
 strings, bools, numbers.  ``Between`` bounds are inclusive by default; the
@@ -35,9 +37,10 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.analysis.cdf import EmpiricalCDF
+from repro.campaign.dataset import DriveDataset
 from repro.errors import StoreError
 from repro.store.catalog import Catalog
-from repro.store.format import DatasetReader, TableReader
+from repro.store.format import DatasetReader, DatasetView, TableReader
 from repro.units import SPEED_BIN_EDGES_MPH, SPEED_BIN_LABELS
 
 __all__ = [
@@ -46,10 +49,12 @@ __all__ = [
     "In",
     "Predicate",
     "QueryStats",
+    "as_source",
     "cdf",
     "count",
     "group_total",
     "mean",
+    "partitions",
     "percentile",
     "select",
     "total",
@@ -310,31 +315,42 @@ def _match_mask(
 
 # -- sources ------------------------------------------------------------------
 
-Source = DatasetReader | Catalog
+Source = DatasetReader | DatasetView | Catalog
 
 
-def _iter_tables(
+def as_source(data: DriveDataset | Source) -> Source:
+    """A query source for ``data``: in-memory datasets get a :class:`DatasetView`."""
+    return DatasetView(data) if isinstance(data, DriveDataset) else data
+
+
+def partitions(
     source: Source,
-    table: str,
-    where: Sequence[Predicate],
-    seeds: Sequence[int] | None,
-    qstats: QueryStats | None,
-) -> Iterator[TableReader]:
-    """Yield the table readers that survive partition-level pruning."""
+    table: str | None = None,
+    where: Sequence[Predicate] = (),
+    *,
+    seeds: Sequence[int] | None = None,
+    qstats: QueryStats | None = None,
+) -> Iterator[DatasetReader | DatasetView]:
+    """Yield the one-dataset sources of ``source`` that survive pruning.
+
+    Every source is pruned by ``seeds``; with a ``table``, catalog
+    partitions whose manifest stats contradict ``where`` are skipped before
+    their file is opened.
+    """
     seed_set = set(seeds) if seeds is not None else None
-    if isinstance(source, DatasetReader):
+    if isinstance(source, (DatasetReader, DatasetView)):
         candidates: list[tuple[int, dict | None, Any]] = [
             (source.seed, None, source)
         ]
     elif isinstance(source, Catalog):
         candidates = [
-            (part.seed, part.table_stats(table), part)
+            (part.seed, part.table_stats(table) if table else None, part)
             for part in source.partitions
         ]
     else:
         raise StoreError(
             f"unsupported query source {type(source).__name__}; "
-            "expected DatasetReader or Catalog"
+            "expected DatasetReader, DatasetView or Catalog"
         )
     for seed, lite, handle in candidates:
         if qstats is not None:
@@ -358,10 +374,21 @@ def _iter_tables(
                 if qstats is not None:
                     qstats.partitions_pruned += 1
                 continue
-        reader = handle if isinstance(handle, DatasetReader) else source.open(handle)
         if qstats is not None:
             qstats.partitions_scanned += 1
-        yield reader.table(table)
+        yield source.open(handle) if isinstance(source, Catalog) else handle
+
+
+def _iter_tables(
+    source: Source,
+    table: str,
+    where: Sequence[Predicate],
+    seeds: Sequence[int] | None,
+    qstats: QueryStats | None,
+) -> Iterator[TableReader]:
+    """Yield the table readers that survive partition-level pruning."""
+    for part in partitions(source, table, where, seeds=seeds, qstats=qstats):
+        yield part.table(table)
 
 
 _EMPTY_DTYPES = {"f8": np.float64, "i8": np.int64, "bool": np.uint8}

@@ -1,24 +1,20 @@
-"""Query engine: parity with the row path, pushdown, analysis bridges."""
+"""Query engine: parity with the row path, pushdown, analysis functions."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
-from repro.analysis.coverage import (
-    active_coverage_shares,
-    active_coverage_shares_from_store,
-    passive_coverage_shares,
-    passive_coverage_shares_from_store,
-)
-from repro.analysis.performance import (
-    static_vs_driving,
-    static_vs_driving_from_store,
-)
-from repro.errors import StoreError
+from repro.analysis.coverage import active_coverage_shares, passive_coverage_shares
+from repro.analysis.performance import static_vs_driving
+from repro.errors import StoreError, SweepError
 from repro.radio.operators import Operator
+from repro.radio.technology import ALL_TECHNOLOGIES
 from repro.store import (
     Between,
+    Catalog,
     DatasetReader,
     Eq,
     In,
@@ -27,7 +23,11 @@ from repro.store import (
     where_speed_bin,
     write_dataset,
 )
-from repro.sweep.stats import evaluate_statistics_from_store
+from repro.sweep.stats import (
+    evaluate_statistics,
+    evaluate_statistics_from_store,
+    registered_statistics,
+)
 from repro.units import SPEED_BIN_LABELS, speed_bin
 
 
@@ -153,25 +153,44 @@ class TestPushdown:
 
 
 class TestAnalysisBridges:
+    """The analysis functions read a store file like the dataset it holds."""
+
     def test_passive_coverage_parity(self, dataset, reader):
         for op in Operator:
-            row = passive_coverage_shares(dataset, op)
-            col = passive_coverage_shares_from_store(reader, op)
-            assert row.shares == col.shares
-            assert row.total_weight == col.total_weight
+            want = dict.fromkeys(ALL_TECHNOLOGIES, 0.0)
+            for seg in dataset.passive_coverage:
+                if seg.operator is op:
+                    want[seg.tech] += seg.length_m
+            col = passive_coverage_shares(reader, op)
+            assert col == passive_coverage_shares(dataset, op)
+            assert col.total_weight == sum(want.values())
+            for tech, share in col.shares.items():
+                assert share == want[tech] / col.total_weight
 
     def test_active_coverage_parity(self, dataset, reader):
         for op in Operator:
-            row = active_coverage_shares(dataset, op, direction="downlink")
-            col = active_coverage_shares_from_store(
-                reader, op, direction="downlink"
-            )
-            for tech, share in row.shares.items():
-                assert col.shares[tech] == pytest.approx(share, abs=1e-12)
+            want = dict.fromkeys(ALL_TECHNOLOGIES, 0.0)
+            for s in dataset.tput(operator=op, direction="downlink", static=False):
+                want[s.tech] += s.speed_mph
+            col = active_coverage_shares(reader, op, direction="downlink")
+            assert col == active_coverage_shares(dataset, op, direction="downlink")
+            assert col.total_weight == sum(want.values())
+            for tech, share in col.shares.items():
+                assert share == want[tech] / col.total_weight
 
     def test_static_vs_driving_parity(self, dataset, reader):
         row = static_vs_driving(dataset, Operator.VERIZON)
-        col = static_vs_driving_from_store(reader, Operator.VERIZON)
+        col = static_vs_driving(reader, Operator.VERIZON)
+        want = {
+            "static_dl": dataset.tput_values(
+                operator=Operator.VERIZON, direction="downlink", static=True),
+            "driving_ul": dataset.tput_values(
+                operator=Operator.VERIZON, direction="uplink", static=False),
+            "driving_rtt": dataset.rtt_values(
+                operator=Operator.VERIZON, static=False),
+        }
+        for attr, values in want.items():
+            assert np.array_equal(getattr(col, attr).sorted_values, np.sort(values))
         for attr in (
             "static_dl", "static_ul", "static_rtt",
             "driving_dl", "driving_ul", "driving_rtt",
@@ -181,13 +200,44 @@ class TestAnalysisBridges:
                 getattr(col, attr).sorted_values,
             ), attr
 
-    # Statistic-level row-vs-store parity lives in
+    # Statistic-level parity against row-object references lives in
     # tests/test_parity_differential.py, which sweeps the whole registry.
 
-    def test_unsupported_statistic_raises(self, reader):
-        from repro.errors import SweepError
+    def test_unknown_statistic_raises(self, dataset, reader):
+        with pytest.raises(SweepError, match="unknown statistic"):
+            evaluate_statistics(dataset, ["nope"])
+        with pytest.raises(SweepError, match="unknown statistic"):
+            evaluate_statistics_from_store(reader, ["nope"])
 
-        with pytest.raises(SweepError, match="no store evaluator"):
-            evaluate_statistics_from_store(
-                reader, ["handovers_per_mile_median_V"]
+    def test_every_statistic_evaluates_from_store(self, dataset, reader):
+        values = evaluate_statistics_from_store(reader)
+        assert tuple(values) == registered_statistics()
+        assert values == evaluate_statistics(dataset)
+
+
+class TestSeedSelection:
+    """``seeds=`` selects partitions for every statistic, metadata included."""
+
+    META = ("unique_cells_total", "passive_handovers_total")
+
+    def test_reader_of_another_seed_yields_nan(self, dataset, reader):
+        values = evaluate_statistics_from_store(reader, seeds=(dataset.seed + 1,))
+        assert all(math.isnan(v) for v in values.values()), values
+        own = evaluate_statistics_from_store(
+            reader, self.META, seeds=(dataset.seed,)
+        )
+        assert own["unique_cells_total"] == sum(dataset.connected_cells.values())
+
+    def test_catalog_without_the_seed_yields_nan(self, dataset, tmp_path):
+        with Catalog(tmp_path / "cat") as catalog:
+            catalog.ingest(dataset)
+            missing = evaluate_statistics_from_store(
+                catalog, self.META, seeds=(dataset.seed + 1,)
             )
+            assert all(math.isnan(v) for v in missing.values()), missing
+            present = evaluate_statistics_from_store(
+                catalog, self.META, seeds=(dataset.seed,)
+            )
+        assert present["passive_handovers_total"] == sum(
+            dataset.passive_handover_counts.values()
+        )
