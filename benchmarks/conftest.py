@@ -30,7 +30,8 @@ import pathlib
 import pytest
 
 from repro.bench import BenchReport, BenchResult, environment_fingerprint
-from repro.campaign.runner import CampaignConfig, DriveCampaign
+from repro.campaign.runner import generate_dataset
+from repro.geo.route import build_cross_country_route
 
 REPORT_DIR = pathlib.Path(__file__).parent / "_reports"
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_baseline.json"
@@ -119,21 +120,13 @@ def bench():
 
 
 @pytest.fixture(scope="session")
-def campaign():
-    c = DriveCampaign(CampaignConfig(seed=BENCH_SEED, scale=BENCH_SCALE))
-    c.run()
-    c.finalize_connected_cells()
-    return c
+def dataset():
+    return generate_dataset(seed=BENCH_SEED, scale=BENCH_SCALE)
 
 
 @pytest.fixture(scope="session")
-def dataset(campaign):
-    return campaign._dataset
-
-
-@pytest.fixture(scope="session")
-def route(campaign):
-    return campaign.route
+def route():
+    return build_cross_country_route()
 
 
 def emit(name: str, text: str) -> None:

@@ -156,14 +156,14 @@ def test_ablation_multi_operator(benchmark, dataset, report):
         assert max(by_op.values()) > 1.2
 
 
-def test_ablation_no_uplink_demotion(benchmark, report):
+def test_ablation_no_uplink_demotion(benchmark, report, route):
     """What if operators granted high-speed 5G symmetrically?
 
     Re-runs a small campaign with identity uplink-demotion rules: the
     Fig. 2b DL/UL high-speed-5G asymmetry should flatten — showing the
     asymmetry is a *policy* effect, not a deployment one.
     """
-    from repro.campaign.runner import CampaignConfig, DriveCampaign
+    from repro.campaign.runner import CampaignConfig, CampaignWindow, DriveCampaign
     from repro.policy.profiles import DEFAULT_POLICY_PROFILES, PolicyProfile
     from repro.radio.technology import RadioTechnology
 
@@ -180,7 +180,9 @@ def test_ablation_no_uplink_demotion(benchmark, report):
                 )
         campaign = DriveCampaign(
             CampaignConfig(seed=7, scale=0.03, include_apps=False, include_static=False),
+            route,
             policy_profiles=overrides,
+            window=CampaignWindow(index=0, start_m=0.0, end_m=route.total_length_m),
         )
         ds = campaign.run()
         gaps = {}

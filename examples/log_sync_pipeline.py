@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import pathlib
 
-from repro.campaign.runner import CampaignConfig, DriveCampaign
+from repro.campaign.runner import generate_dataset
+from repro.geo.route import build_cross_country_route
 from repro.reporting.tables import render_table
 from repro.sync.database import ConsolidatedDatabase
 from repro.sync.matcher import match_logs
@@ -32,13 +33,12 @@ def main() -> None:
     args = parser.parse_args()
 
     print("Generating campaign ...")
-    campaign = DriveCampaign(CampaignConfig(
+    dataset = generate_dataset(
         seed=args.seed, scale=args.scale, include_apps=False, include_static=False,
-    ))
-    dataset = campaign.run()
+    )
 
     print("Exporting raw logs (DRM + app-layer) ...")
-    drm_files, app_logs = export_logs(dataset, campaign.route)
+    drm_files, app_logs = export_logs(dataset, build_cross_country_route())
     print(f"  {len(drm_files)} DRM files, {len(app_logs)} app logs")
     print(f"  example DRM filename (local time):  {drm_files[0].filename}")
     print(f"  example app log filename (UTC):     {app_logs[0].filename}")

@@ -24,7 +24,7 @@ from repro.policy.selection import TechnologySelector
 from repro.radio.ca import CarrierAggregationModel, Direction
 from repro.radio.cells import Cell, CellId
 from repro.radio.channel import ChannelModel
-from repro.radio.deployment import DeploymentModel, DeploymentZone
+from repro.radio.deployment import DeploymentModel, DeploymentZone, TiledDeployment
 from repro.radio.operators import Operator
 from repro.radio.phy import PhyModel
 from repro.radio.technology import RadioTechnology
@@ -85,7 +85,8 @@ class UESession:
     operator:
         The carrier of this phone's SIM.
     deployment:
-        The carrier's radio deployment along the route.
+        The carrier's radio deployment along the route (the campaign's
+        :class:`TiledDeployment`, or one built :class:`DeploymentModel`).
     rng_factory:
         Source of named substreams; each subsystem gets its own.
     """
@@ -93,7 +94,7 @@ class UESession:
     def __init__(
         self,
         operator: Operator,
-        deployment: DeploymentModel,
+        deployment: DeploymentModel | TiledDeployment,
         rng_factory: RngFactory,
         policy_profile: "PolicyProfile | None" = None,
     ) -> None:

@@ -9,6 +9,12 @@ XCAL-style probe logs 500 ms KPI samples, and three further passive
 trip.  Static baselines are measured in each major city facing the best
 high-speed-5G base station available (§5.1).
 
+A :class:`DriveCampaign` runs one :class:`CampaignWindow` of the route; the
+engine (:mod:`repro.engine`) splits the trip into windows and merges them,
+and :func:`generate_dataset` is the entry point for a whole campaign.  All
+six phones of every window query one network per operator, the seed's
+:class:`~repro.radio.deployment.TiledDeployment`.
+
 ``CampaignConfig.scale`` subsamples the *active testing duty cycle* (the
 fraction of the route covered by tests) while still traversing the full
 route, so small-scale datasets remain geographically representative.
@@ -44,7 +50,7 @@ from repro.net.servers import Server, ServerRegistry
 from repro.net.tcp import CubicFlow
 from repro.policy.profiles import PolicyProfile, TrafficProfile
 from repro.radio.ca import Direction
-from repro.radio.deployment import DeploymentModel
+from repro.radio.deployment import TILE_LENGTH_M, TiledDeployment
 from repro.radio.operators import Operator
 from repro.rng import RngFactory
 from repro.radio.technology import HIGH_THROUGHPUT_TECHS
@@ -62,9 +68,8 @@ __all__ = [
 _TCP_RTT_INFLATION = 1.3
 _TCP_RTT_FLOOR_MS = 15.0
 
-#: Nominal cruise speed used to give each route window a deterministic
-#: wall-clock origin (matches the ≈60 mph assumption of the duty-cycle
-#: fast-forward).
+#: Nominal cruise speed (≈60 mph): the clock rate of the duty-cycle
+#: fast-forward, and what gives each route window its wall-clock origin.
 NOMINAL_CRUISE_MPS = 27.0
 
 
@@ -72,23 +77,17 @@ NOMINAL_CRUISE_MPS = 27.0
 class CampaignWindow:
     """One contiguous route span executed as an independent shard.
 
-    The sharded execution engine (:mod:`repro.engine`) splits the LA→Boston
-    route into windows and runs one :class:`DriveCampaign` per window.  A
-    windowed campaign starts at ``start_m`` with a deterministic clock origin
+    The engine (:mod:`repro.engine`) runs one :class:`DriveCampaign` per
+    window.  A window starts at ``start_m`` with a deterministic clock origin
     (``start_m / NOMINAL_CRUISE_MPS``), runs measurement cycles until it
-    crosses ``end_m``, and visits only the static-baseline cities that fall
-    inside its span.  Passive coverage is *not* recorded per window — the
-    engine runs the trip-wide handover-logger as its own shard.
-
-    ``overrun_m`` is how far past ``end_m`` the window's radio deployment is
-    built: the last cycle of a window may legitimately overrun the boundary,
-    and its ticks still need zones to camp on.
+    crosses ``end_m``, visits the static-baseline cities inside its span,
+    and walks the passive loggers over it.  Both edges lie on deployment tile
+    edges (``end_m`` may be the route end).
     """
 
     index: int
     start_m: float
     end_m: float
-    overrun_m: float
     #: Base added to every locally sequential test id, giving each window a
     #: disjoint, deterministic id namespace in the merged dataset.
     test_id_base: int = 0
@@ -98,17 +97,11 @@ class CampaignWindow:
             raise CampaignError(
                 f"invalid window span [{self.start_m}, {self.end_m})"
             )
-        if self.overrun_m < 0.0:
-            raise CampaignError("overrun_m must be non-negative")
 
     @property
     def start_time_s(self) -> float:
         """Deterministic wall-clock origin of this window."""
         return self.start_m / NOMINAL_CRUISE_MPS
-
-    @property
-    def length_m(self) -> float:
-        return self.end_m - self.start_m
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,16 +129,8 @@ class CampaignConfig:
 
 
 class DriveCampaign:
-    """One full campaign execution.
-
-    Examples
-    --------
-    >>> campaign = DriveCampaign(CampaignConfig(seed=7, scale=0.01,
-    ...                                         include_apps=False))
-    >>> dataset = campaign.run()
-    >>> len(dataset.tests) > 0
-    True
-    """
+    """One window of the campaign: active tests, static baselines, and the
+    passive loggers' walk.  :func:`generate_dataset` runs a whole campaign."""
 
     def __init__(
         self,
@@ -153,10 +138,10 @@ class DriveCampaign:
         route: Route | None = None,
         policy_profiles: "dict[Operator, PolicyProfile] | None" = None,
         *,
-        window: CampaignWindow | None = None,
+        window: CampaignWindow,
         rng_factory: RngFactory | None = None,
     ) -> None:
-        """Set up the campaign.
+        """Set up the campaign window.
 
         Parameters
         ----------
@@ -165,39 +150,41 @@ class DriveCampaign:
             no-uplink-demotion world).  Operators not in the mapping keep
             their default profile.
         window:
-            Restrict the campaign to one route span (see
-            :class:`CampaignWindow`).  ``None`` runs the whole route in one
-            process — the classic single-shot mode.
+            The route span to run (see :class:`CampaignWindow`); a window
+            from ``0`` to the route length runs the whole trip.
         rng_factory:
-            Override the random-substream factory.  The engine passes each
-            window ``RngFactory(seed).shard(window.index)`` so shard draws
-            are independent of executor topology.
+            Override the phones' and vehicle's substream factory; the engine
+            passes ``RngFactory(seed).shard(window.index)``.  The network is
+            always the seed's :class:`TiledDeployment`.
         """
         self.config = config or CampaignConfig()
         self.route = route or build_cross_country_route()
+        total = self.route.total_length_m
+        end = window.end_m
+        if window.start_m % TILE_LENGTH_M or end > total or (
+            end % TILE_LENGTH_M and end != total
+        ):
+            raise CampaignError(f"{window} is not on tile edges of a {total} m route")
         self.window = window
         self._rngs = rng_factory or RngFactory(seed=self.config.seed)
         self._servers = ServerRegistry(self.route)
         self._speed = SpeedProfile(self._rngs.stream("speed"))
-        self._sessions: dict[Operator, UESession] = {}
-        total = self.route.total_length_m
-        span_start = 0.0 if window is None else window.start_m
-        span_end = (
-            None if window is None else min(window.end_m + window.overrun_m, total)
-        )
         overrides = policy_profiles or {}
-        for op in Operator:
-            deployment = DeploymentModel.build(
-                op, self.route, self._rngs.stream(f"deploy-{op.code}"),
-                start_m=span_start, end_m=span_end,
+        #: The seed's network, shared by all phones of every window.
+        self.deployments = {
+            op: TiledDeployment(op, self.route, self.config.seed) for op in Operator
+        }
+        self._sessions = {
+            op: UESession(
+                op, self.deployments[op], self._rngs, policy_profile=overrides.get(op)
             )
-            self._sessions[op] = UESession(
-                op, deployment, self._rngs, policy_profile=overrides.get(op)
-            )
-        self._mark_m = span_start
-        self._time_s = 0.0 if window is None else window.start_time_s
+            for op in Operator
+        }
+        #: Distinct macro cells of the window's tiles (filled in by ``run``).
+        self.macro_cells: dict[Operator, int] = {}
+        self._mark_m = window.start_m
+        self._time_s = window.start_time_s
         self._test_seq = 0
-        self._test_id_base = 0 if window is None else window.test_id_base
         self._dataset = DriveDataset(
             seed=self.config.seed,
             scale=self.config.scale,
@@ -207,23 +194,13 @@ class DriveCampaign:
     # -- public API --------------------------------------------------------
 
     def run(self) -> DriveDataset:
-        """Execute the campaign (or one window of it) and return the dataset."""
-        if self.window is None:
-            self._record_passive_coverage()
-        remaining_cities = [
-            (self.route.city_mark_m(c.name), c.name) for c in self.route.cities
-        ]
-        if self.window is not None:
-            remaining_cities = [
-                (mark, name)
-                for mark, name in remaining_cities
-                if self._city_in_window(mark)
-            ]
-        remaining_cities.sort()
-
-        end_m = self.route.total_length_m - 2_000.0
-        if self.window is not None:
-            end_m = min(self.window.end_m, end_m)
+        """Execute the window and return its dataset."""
+        remaining_cities = sorted(
+            (mark, c.name)
+            for c in self.route.cities
+            if self._city_in_window(mark := self.route.city_mark_m(c.name))
+        )
+        end_m = min(self.window.end_m, self.route.total_length_m - 2_000.0)
         while self._mark_m < end_m:
             # Static battery when we reach a city.
             while remaining_cities and remaining_cities[0][0] <= self._mark_m:
@@ -239,6 +216,7 @@ class DriveCampaign:
         for _, city_name in remaining_cities:
             if self.config.include_static:
                 self._run_static_battery(city_name)
+        self._walk_passive_loggers()
         return self._dataset
 
     def _city_in_window(self, city_mark_m: float) -> bool:
@@ -248,22 +226,19 @@ class DriveCampaign:
         one whose end reaches the route terminus) also owns the terminus
         city, Boston.
         """
-        assert self.window is not None
         if self.window.end_m >= self.route.total_length_m - 1e-6:
             return self.window.start_m <= city_mark_m <= self.window.end_m
         return self.window.start_m <= city_mark_m < self.window.end_m
 
-    def connected_active_cell_counts(self) -> dict[Operator, int]:
-        """Distinct active-layer cells each operator's UE connected to.
+    def connected_cell_ids(self) -> dict[Operator, list[int]]:
+        """Sorted sequence numbers of the active-layer cells (ping-pong
+        phantoms included) each operator's phone connected to.
 
-        The engine's merger sums these across windows and adds the
-        macro-grid cells counted by the passive shard.  Window spans are
-        disjoint, but a window's last cycle can run into the ``overrun_m``
-        deployment margin past its end, so cells on a window boundary may be
-        counted by both neighbouring windows (see ``engine/merge.py``).
+        Cell ids are unique across the seed's network, so the engine's
+        merger counts a cell two adjacent windows both connected to once.
         """
         return {
-            op: len(session.handover_engine.connected_cells)
+            op: sorted(c.sequence for c in session.handover_engine.connected_cells)
             for op, session in self._sessions.items()
         }
 
@@ -324,13 +299,13 @@ class DriveCampaign:
         if skip <= 0.0:
             return
         self._mark_m += skip
-        self._time_s += skip / 27.0  # ≈ 60 mph average cruise
+        self._time_s += skip / NOMINAL_CRUISE_MPS
         for session in self._sessions.values():
             session.handover_engine.reset_serving()
 
     def _next_test_id(self) -> int:
         self._test_seq += 1
-        return self._test_id_base + self._test_seq
+        return self.window.test_id_base + self._test_seq
 
     def _servers_now(self, position: RoutePosition) -> dict[Operator, Server]:
         return {
@@ -801,32 +776,29 @@ class DriveCampaign:
                 HandoverRecord(test_id=test_id, direction=direction, event=ev)
             )
 
-    def _record_passive_coverage(self) -> None:
-        """Walk the route per operator with the passive handover-logger."""
+    def _walk_passive_loggers(self) -> None:
+        """Walk each operator's passive logger over the window's own tiles.
+
+        Its macro handovers are those between its zones plus, for every
+        window but the first, the crossing into it: summed over the
+        windows, exactly the full-route count.
+        """
         # Imported here: repro.xcal pulls in repro.campaign at package level,
         # so a module-level import would be circular.
         from repro.xcal.handover_logger import run_handover_logger
 
-        for op in Operator:
+        crossing = 1 if self.window.start_m > 0.0 else 0
+        for op, deployment in self.deployments.items():
             trace = run_handover_logger(
                 op,
-                self._sessions[op].deployment,
+                deployment.span(self.window.start_m, self.window.end_m),
                 self._rngs.stream(f"passive-{op.code}"),
             )
             self._dataset.passive_coverage.extend(trace.segments)
-            self._dataset.passive_handover_counts[op] = trace.macro_handovers
-
-    def finalize_connected_cells(self) -> None:
-        """Record the distinct cells each phone connected to."""
-        for op, session in self._sessions.items():
-            macro_cells = {
-                c.cell_id
-                for z in session.deployment.macro_zones
-                for c in z.cells.values()
-            }
-            self._dataset.connected_cells[op] = len(
-                set(session.handover_engine.connected_cells) | macro_cells
+            self._dataset.passive_handover_counts[op] = (
+                trace.macro_handovers + crossing
             )
+            self.macro_cells[op] = trace.macro_cells
 
 
 def generate_dataset(

@@ -1,15 +1,15 @@
 """repro.engine — sharded, fault-tolerant campaign execution.
 
-The single-process :class:`~repro.campaign.runner.DriveCampaign` regenerates
-the paper's 8-day, 5711 km dataset one tick at a time; this package runs the
-same campaign as a set of independent **route shards**:
+This package is the one way a campaign runs: it regenerates the paper's
+8-day, 5711 km dataset as a set of independent **route shards**:
 
 1. the :mod:`planner <repro.engine.planner>` splits the route into canonical
-   distance windows — a pure function of the campaign config, never of the
-   executor topology;
-2. :mod:`workers <repro.engine.worker>` execute each window with a
-   deterministic per-shard RNG substream (``RngFactory(seed).shard(i)``), in
-   parallel processes or serially in-process;
+   distance windows on deployment-tile edges — a pure function of the
+   campaign config, never of the executor topology;
+2. :mod:`workers <repro.engine.worker>` run each window as a
+   :class:`~repro.campaign.runner.DriveCampaign` on the seed's one network,
+   with a deterministic per-shard RNG substream
+   (``RngFactory(seed).shard(i)``), in parallel processes or in-process;
 3. the :mod:`merger <repro.engine.merge>` stitches shard outputs back into
    one :class:`~repro.campaign.dataset.DriveDataset` in canonical order.
 
@@ -50,15 +50,10 @@ from typing import Callable, Hashable, Mapping, Sequence
 from repro.campaign.dataset import DriveDataset
 from repro.campaign.runner import CampaignConfig, CampaignWindow
 from repro.campaign.validation import validate_dataset
-from repro.engine.checkpoint import config_fingerprint
+from repro.engine.checkpoint import config_fingerprint, route_digest, source_digest
 from repro.engine.merge import merge_shard_results
 from repro.engine.metrics import EngineReport, ShardMetrics
-from repro.engine.planner import (
-    PASSIVE_SHARD_INDEX,
-    PlannerParams,
-    ShardPlan,
-    plan_campaign,
-)
+from repro.engine.planner import PlannerParams, ShardPlan, plan_campaign
 from repro.engine.worker import (
     FaultSpec,
     ShardResult,
@@ -70,6 +65,7 @@ from repro.errors import EngineError
 from repro.geo.route import Route, build_cross_country_route
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.obs.trace import get_tracer
+from repro.store.format import STORE_FORMAT_VERSION
 
 __all__ = [
     "EngineConfig",
@@ -140,45 +136,37 @@ def build_task_batches(
     config: EngineConfig,
     plan: ShardPlan,
     pending_windows: list[CampaignWindow],
-    passive_pending: bool,
     fingerprint: str,
     route: Route | None,
     trace_parent: str | None = None,
 ) -> list[tuple[ShardTask, ...]]:
-    """Group pending work into submission batches (passive shard first).
+    """Group the pending windows into submission batches.
 
     ``trace_parent`` is the orchestrator's execute-span id; it rides on
     every task so worker-emitted shard spans attach under it.
     """
 
-    def task(window: CampaignWindow | None) -> ShardTask:
-        index = PASSIVE_SHARD_INDEX if window is None else window.index
+    def task(window: CampaignWindow) -> ShardTask:
         return ShardTask(
             config=config.campaign,
             window=window,
             checkpoint_dir=config.checkpoint_dir,
             fingerprint=fingerprint,
-            fault=config.inject_faults.get(index),
+            fault=config.inject_faults.get(window.index),
             parent_pid=os.getpid(),
             route=route,
             trace_path=config.trace_path,
             trace_parent=trace_parent,
         )
 
-    batches: list[tuple[ShardTask, ...]] = []
-    if passive_pending:
-        batches.append((task(None),))
     window_plan = ShardPlan(
         windows=tuple(pending_windows),
         nominal_cycle_s=plan.nominal_cycle_s,
         window_km=plan.window_km,
     )
-    if pending_windows:
-        batches.extend(
-            tuple(task(w) for w in group)
-            for group in window_plan.batches(config.shards)
-        )
-    return batches
+    return [
+        tuple(task(w) for w in group) for group in window_plan.batches(config.shards)
+    ]
 
 
 # -- executors ---------------------------------------------------------------
@@ -432,7 +420,7 @@ def run_engine(
             campaign_route = route or build_cross_country_route()
             plan = plan_campaign(config.campaign, campaign_route, config.planner)
             fingerprint = config_fingerprint(config.campaign, plan, campaign_route)
-        indices = [PASSIVE_SHARD_INDEX] + [w.index for w in plan.windows]
+        indices = [w.index for w in plan.windows]
 
         results: dict[int, ShardResult] = {}
         retries: dict[int, int] = {}
@@ -451,7 +439,6 @@ def run_engine(
                 sp.set(hits=len(results))
 
         pending = [w for w in plan.windows if w.index not in results]
-        passive_pending = PASSIVE_SHARD_INDEX not in results
 
         def on_result(
             tag: Hashable, outcomes: list[ShardResult], attempt: int
@@ -462,7 +449,7 @@ def run_engine(
 
         with tracer.span("engine.execute") as exec_span:
             batches = build_task_batches(
-                config, plan, pending, passive_pending, fingerprint, route,
+                config, plan, pending, fingerprint, route,
                 trace_parent=exec_span.span_id,
             )
             exec_span.set(batches=len(batches))
@@ -481,6 +468,9 @@ def run_engine(
             n_windows=plan.n_windows,
             n_batches=len(batches),
             pool_rebuilds=stats.pool_rebuilds,
+            route_digest=route_digest(campaign_route),
+            source_digest=source_digest(),
+            store_format_version=STORE_FORMAT_VERSION,
         )
 
         merge_started = time.perf_counter()
@@ -494,7 +484,6 @@ def run_engine(
             merge_span.dur_s = report.merge_s
 
         window_span = {w.index: (w.start_m, w.end_m) for w in plan.windows}
-        window_span[PASSIVE_SHARD_INDEX] = (0.0, campaign_route.total_length_m)
         report.shards = [
             ShardMetrics(
                 index=index,

@@ -91,7 +91,7 @@ def config_fingerprint(config: CampaignConfig, plan: ShardPlan, route: Route) ->
         "inter_test_gap_s": config.inter_test_gap_s,
         "cycle": [t.name for t in config.cycle.tests],
         "windows": [
-            [w.index, round(w.start_m, 3), round(w.end_m, 3), round(w.overrun_m, 3)]
+            [w.index, round(w.start_m, 3), round(w.end_m, 3)]
             for w in plan.windows
         ],
     }

@@ -1,26 +1,28 @@
 """Deterministic merge: stitch shard outputs back into one dataset.
 
-The merger concatenates every record family in **canonical shard order**
-(passive shard first, then windows by ascending index) regardless of the
-order shards completed in — so the merged dataset is a pure function of the
-shard results.  Because each window owns a disjoint, deterministic test-id
-namespace (``(index+1) * TEST_ID_STRIDE``), no renumbering pass is needed
-and referential integrity (samples → tests, handovers → tests) is preserved
-by construction.
+The merger concatenates every record family in **canonical window order**
+regardless of the order shards completed in — so the merged dataset is a
+pure function of the shard results.  Because each window owns a disjoint,
+deterministic test-id namespace (``(index+1) * TEST_ID_STRIDE``), no
+renumbering pass is needed and referential integrity (samples → tests,
+handovers → tests) is preserved by construction.
 
-Boundary semantics: each window starts with freshly-attached UE sessions, so
-no handover event ever spans a shard boundary — the same reconnect the
-single-process campaign performs after every duty-cycle fast-forward.  The
-merger verifies the invariants this relies on (windows present exactly once,
-id namespaces disjoint) and raises :class:`EngineError` on violation rather
-than emitting a silently inconsistent dataset.
+Boundary semantics: every window queries the seed's one network
+(:class:`~repro.radio.deployment.TiledDeployment`) and owns the tiles it
+spans, so the windows' passive segments tile the route once and their macro
+handover counts sum to the full-route count.  Connected cells are counted
+once however many windows used them: ``|union of active cell ids| + sum of
+(disjoint) macro cells``.  Each window's active phones start freshly
+attached — the same reset that follows every duty-cycle fast-forward.  The
+merger verifies its invariants (windows present exactly once, id namespaces
+disjoint) and raises :class:`EngineError` on violation.
 """
 
 from __future__ import annotations
 
 from repro.campaign.dataset import DriveDataset
 from repro.campaign.runner import CampaignConfig
-from repro.engine.planner import PASSIVE_SHARD_INDEX, ShardPlan, TEST_ID_STRIDE
+from repro.engine.planner import ShardPlan, TEST_ID_STRIDE
 from repro.engine.worker import ShardResult
 from repro.errors import EngineError
 from repro.radio.operators import Operator
@@ -50,21 +52,17 @@ def merge_shard_results(
     Parameters
     ----------
     results:
-        Mapping of shard index → result; must contain every window of
-        ``plan`` plus the passive shard.
+        Mapping of window index → result; must contain every window of
+        ``plan``.
     """
     missing = [w.index for w in plan.windows if w.index not in results]
-    if PASSIVE_SHARD_INDEX not in results:
-        missing.append(PASSIVE_SHARD_INDEX)
     if missing:
         raise EngineError(
-            f"cannot merge: shards {sorted(missing)} missing", shard_index=missing[0]
+            f"cannot merge: shards {missing} missing", shard_index=missing[0]
         )
+    ordered = [results[w.index] for w in plan.windows]
 
-    ordered = [results[PASSIVE_SHARD_INDEX]]
-    ordered += [results[w.index] for w in plan.windows]
-
-    for window, result in zip(plan.windows, ordered[1:]):
+    for window, result in zip(plan.windows, ordered):
         base = (window.index + 1) * TEST_ID_STRIDE
         for test in result.dataset.tests:
             if not base < test.test_id <= base + TEST_ID_STRIDE:
@@ -83,21 +81,13 @@ def merge_shard_results(
         for family in _FAMILIES:
             getattr(merged, family).extend(getattr(result.dataset, family))
 
-    passive = results[PASSIVE_SHARD_INDEX]
-    merged.passive_handover_counts = dict(passive.dataset.passive_handover_counts)
-    # Trip-wide distinct-cell count: the macro anchor grid seen by the
-    # passive loggers plus the active-layer cells summed across windows.
-    # Window *spans* are disjoint, but each window's deployment extends
-    # ``overrun_m`` past its end and the final duty cycle may run into that
-    # overrun, so adjacent windows can both connect to cells covering the
-    # same boundary stretch — the sum may count such cells once per window.
-    # The over-count is deterministic (a pure function of the shard plan,
-    # identical for serial and parallel execution) and bounded by the number
-    # of window boundaries, but the count is not guaranteed to match a true
-    # single-pass drive of the whole route.
+    merged.passive_handover_counts = {
+        op: sum(r.dataset.passive_handover_counts.get(op, 0) for r in ordered)
+        for op in Operator
+    }
     merged.connected_cells = {
-        op: passive.macro_cells.get(op, 0)
-        + sum(r.active_cells.get(op, 0) for r in ordered[1:])
+        op: len(set().union(*(r.active_cell_ids.get(op, ()) for r in ordered)))
+        + sum(r.macro_cells.get(op, 0) for r in ordered)
         for op in Operator
     }
     return merged

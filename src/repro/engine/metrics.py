@@ -4,9 +4,10 @@ An :class:`EngineReport` is produced by every engine run.  It records, per
 shard: the route span, wall time, record count, retry count, and whether the
 shard was served from a checkpoint or the shard cache — plus run-level
 aggregates (worker utilisation, pool rebuilds after hard worker deaths,
-merge time, cache hit/miss counters).  The report serialises to JSON so
-campaign farms can scrape it; ``schema_version`` lets scrapers detect format
-drift, and :meth:`EngineReport.from_obj` round-trips the JSON form.
+merge time, cache hit/miss counters, checkpoint fingerprint inputs).  The
+report serialises to JSON so campaign farms can scrape it;
+``schema_version`` lets scrapers detect format drift, and
+:meth:`EngineReport.from_obj` round-trips the JSON form.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ __all__ = ["ShardMetrics", "EngineReport", "REPORT_SCHEMA_VERSION"]
 #: History: 1 = initial engine report; 2 = adds schema_version itself,
 #: per-shard ``from_cache``, and run-level ``cache_hits``/``cache_misses``;
 #: 3 = per-shard ``wall_s`` at full precision, optional run-level
-#: ``metrics`` snapshot (see ``repro.obs.metrics``).
-REPORT_SCHEMA_VERSION = 3
+#: ``metrics`` snapshot (see ``repro.obs.metrics``); 4 = the fingerprint
+#: inputs ``route_digest``, ``source_digest`` and ``store_format_version``.
+REPORT_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,6 +105,11 @@ class EngineReport:
     #: traced; ``None`` keeps untraced reports byte-compatible with v2
     #: consumers that ignore unknown fields.
     metrics: dict | None = None
+    #: Checkpoint fingerprint inputs besides the knobs and the plan (see
+    #: :mod:`repro.engine.checkpoint`): why a replayed shard was trusted.
+    route_digest: str = ""
+    source_digest: str = ""
+    store_format_version: int = 0
 
     @property
     def total_records(self) -> int:
@@ -161,6 +168,9 @@ class EngineReport:
             "checkpoint_hits": self.checkpoint_hits,
             "worker_utilisation": round(self.worker_utilisation(), 4),
             "shards": [s.to_obj() for s in self.shards],
+            "route_digest": self.route_digest,
+            "source_digest": self.source_digest,
+            "store_format_version": self.store_format_version,
         }
         if self.metrics is not None:
             obj["metrics"] = self.metrics
@@ -189,6 +199,9 @@ class EngineReport:
             cache_hits=int(obj.get("cache_hits", 0)),
             cache_misses=int(obj.get("cache_misses", 0)),
             metrics=obj.get("metrics"),
+            route_digest=str(obj.get("route_digest", "")),
+            source_digest=str(obj.get("source_digest", "")),
+            store_format_version=int(obj.get("store_format_version", 0)),
         )
 
     def to_json(self) -> str:

@@ -4,14 +4,17 @@ The planner is the determinism anchor of the engine.  It decomposes the
 LA→Boston route into contiguous distance windows **as a pure function of the
 campaign configuration** — never of the worker count, batch count, or any
 runtime state.  Each window later runs as an independent shard with its own
-RNG substream (``RngFactory(seed).shard(index)``), so the merged dataset is
-bit-identical however the windows are scheduled.
+RNG substream for the phones (``RngFactory(seed).shard(index)``), so the
+merged dataset is bit-identical however the windows are scheduled.
+
+Windows are whole runs of deployment tiles, so each zone of the seed's
+network belongs to exactly one window, whose passive loggers walk it.
 
 Window sizing adapts to the campaign's duty cycle: one measurement cycle plus
 its fast-forward skip covers ``nominal_cycle_km / scale`` of road, and a
-window should hold a few such strides — enough that the scale→record-count
-relationship of the single-process campaign is preserved, while still
-producing tens of shards for parallel execution at production scales.
+window should hold a few such strides — enough that the record count keeps
+tracking the scale, while still producing tens of shards for parallel
+execution at production scales.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.campaign.runner import (
 from repro.campaign.tests import TEST_DURATIONS_S, TestType
 from repro.errors import EngineError
 from repro.geo.route import Route
+from repro.radio.deployment import TILE_LENGTH_M
 
 __all__ = [
     "PlannerParams",
@@ -34,23 +38,12 @@ __all__ = [
     "nominal_cycle_duration_s",
     "plan_campaign",
     "TEST_ID_STRIDE",
-    "PASSIVE_SHARD_INDEX",
 ]
 
 #: Test-id namespace stride: window ``i`` allocates ids in
 #: ``(i+1)*STRIDE + 1 ..``, keeping ids disjoint and deterministic without a
 #: renumbering pass at merge time.
 TEST_ID_STRIDE = 1_000_000
-
-#: Pseudo-index of the trip-wide passive handover-logger shard.
-PASSIVE_SHARD_INDEX = -1
-
-#: Upper bound on vehicle speed used to size the deployment overrun margin.
-_MAX_SPEED_MPS = 50.0
-
-#: Wall-clock cushion (s) added to one nominal cycle when sizing the margin:
-#: covers inter-test gaps, the fast-forward cap, and speed-profile excursions.
-_OVERRUN_CUSHION_S = 120.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,7 +53,7 @@ class PlannerParams:
     ``window_km`` overrides the adaptive sizing entirely; otherwise a window
     spans ``cycles_per_window`` nominal cycle strides (cycle distance divided
     by the duty-cycle scale), clamped below by ``min_window_km`` so shards
-    stay coarse enough to amortise their per-shard deployment build.
+    stay coarse enough to amortise their per-shard set-up.
     """
 
     window_km: float | None = None
@@ -112,12 +105,6 @@ class ShardPlan:
             at += size
         return batches
 
-    def describe(self) -> str:
-        return (
-            f"{self.n_windows} windows of ~{self.window_km:.0f} km "
-            f"(nominal cycle {self.nominal_cycle_s:.0f} s)"
-        )
-
 
 def nominal_cycle_duration_s(config: CampaignConfig) -> float:
     """Wall-clock length of one round-robin cycle under ``config``.
@@ -151,7 +138,8 @@ def plan_campaign(
     """Split ``route`` into the canonical shard windows for ``config``.
 
     The decomposition depends only on ``(config, route, params)`` — equal
-    inputs always produce the identical window list.
+    inputs always produce the identical window list: ``ceil(route length /
+    window_km)`` windows (at most one per tile) of whole tiles, dealt evenly.
     """
     params = params or PlannerParams()
     cycle_s = nominal_cycle_duration_s(config)
@@ -163,20 +151,17 @@ def plan_campaign(
         window_km = max(params.cycles_per_window * stride_km, params.min_window_km)
 
     total_m = route.total_length_m
-    n = max(1, math.ceil(route.total_length_km / window_km))
-    length_m = total_m / n
-    overrun_m = (cycle_s + _OVERRUN_CUSHION_S) * _MAX_SPEED_MPS
+    n_tiles = math.ceil(total_m / TILE_LENGTH_M)
+    n = min(max(1, math.ceil(route.total_length_km / window_km)), n_tiles)
 
     windows = []
     for i in range(n):
-        start = i * length_m
-        end = total_m if i == n - 1 else (i + 1) * length_m
+        first, last = i * n_tiles // n, (i + 1) * n_tiles // n
         windows.append(
             CampaignWindow(
                 index=i,
-                start_m=start,
-                end_m=end,
-                overrun_m=overrun_m,
+                start_m=first * TILE_LENGTH_M,
+                end_m=min(last * TILE_LENGTH_M, total_m),
                 test_id_base=(i + 1) * TEST_ID_STRIDE,
             )
         )

@@ -7,14 +7,12 @@ to a :class:`ShardResult` and, when a checkpoint directory is configured,
 persists every result the moment it completes, so even a mid-batch worker
 death loses at most the shard in flight.
 
-Two task flavours exist:
-
-* **window shards** run a :class:`DriveCampaign` restricted to one route
-  window, with RNG substreams derived from ``RngFactory(seed).shard(index)``
-  — a pure function of (root seed, window index);
-* the **passive shard** (``window is None``) replays the trip-wide passive
-  handover-logger walk and counts the macro-grid cells, exactly as the
-  single-process campaign does, using the root factory's streams.
+Every shard is one route window: a :class:`DriveCampaign` over the window,
+with the phones' RNG substreams derived from
+``RngFactory(seed).shard(index)`` — a pure function of (root seed, window
+index) — on the seed's shared network.  Its result carries the window's
+dataset (active records, passive segments and macro handover count) plus
+the cell ids its phones connected to, so the merge can count cells exactly.
 
 For fault-tolerance testing, a task may carry a :class:`FaultSpec` that
 makes early attempts fail — either by raising (exercising the retry path)
@@ -33,7 +31,6 @@ from repro.errors import EngineError
 from repro.geo.route import Route, build_cross_country_route
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
-from repro.radio.deployment import DeploymentModel
 from repro.radio.operators import Operator
 from repro.rng import RngFactory
 
@@ -66,8 +63,7 @@ class ShardTask:
     """Everything a worker needs to execute one shard, picklable."""
 
     config: CampaignConfig
-    #: ``None`` marks the passive handover-logger shard.
-    window: CampaignWindow | None
+    window: CampaignWindow
     attempt: int = 0
     checkpoint_dir: str | None = None
     fingerprint: str = ""
@@ -88,9 +84,7 @@ class ShardTask:
 
     @property
     def index(self) -> int:
-        from repro.engine.planner import PASSIVE_SHARD_INDEX
-
-        return PASSIVE_SHARD_INDEX if self.window is None else self.window.index
+        return self.window.index
 
 
 @dataclass(slots=True)
@@ -99,9 +93,10 @@ class ShardResult:
 
     index: int
     dataset: DriveDataset
-    #: Distinct active-layer cells connected per operator (window shards).
-    active_cells: dict[Operator, int] = field(default_factory=dict)
-    #: Distinct macro-grid cells per operator (passive shard only).
+    #: Sorted sequence numbers of the active-layer cells each operator's
+    #: phone connected to.
+    active_cell_ids: dict[Operator, list[int]] = field(default_factory=dict)
+    #: Distinct macro-grid cells of the window's own tiles, per operator.
     macro_cells: dict[Operator, int] = field(default_factory=dict)
     wall_s: float = 0.0
     from_checkpoint: bool = False
@@ -133,15 +128,10 @@ def _maybe_fail(task: ShardTask) -> None:
     )
 
 
-def _task_route(task: ShardTask) -> Route:
-    return task.route if task.route is not None else build_cross_country_route()
-
-
 def _run_window_shard(task: ShardTask) -> ShardResult:
-    assert task.window is not None
     campaign = DriveCampaign(
         task.config,
-        route=_task_route(task),
+        route=task.route if task.route is not None else build_cross_country_route(),
         window=task.window,
         rng_factory=RngFactory(seed=task.config.seed).shard(task.window.index),
     )
@@ -149,41 +139,8 @@ def _run_window_shard(task: ShardTask) -> ShardResult:
     return ShardResult(
         index=task.window.index,
         dataset=dataset,
-        active_cells=campaign.connected_active_cell_counts(),
-    )
-
-
-def _run_passive_shard(task: ShardTask) -> ShardResult:
-    # Imported here for the same reason DriveCampaign does it: repro.xcal
-    # imports repro.campaign at package level.
-    from repro.xcal.handover_logger import run_handover_logger
-    from repro.engine.planner import PASSIVE_SHARD_INDEX
-
-    config = task.config
-    route = _task_route(task)
-    rngs = RngFactory(seed=config.seed)
-    dataset = DriveDataset(
-        seed=config.seed,
-        scale=config.scale,
-        route_length_km=route.total_length_km,
-    )
-    macro_cells: dict[Operator, int] = {}
-    for op in Operator:
-        deployment = DeploymentModel.build(
-            op, route, rngs.stream(f"deploy-{op.code}")
-        )
-        trace = run_handover_logger(
-            op, deployment, rngs.stream(f"passive-{op.code}")
-        )
-        dataset.passive_coverage.extend(trace.segments)
-        dataset.passive_handover_counts[op] = trace.macro_handovers
-        macro_cells[op] = len(
-            {c.cell_id for z in deployment.macro_zones for c in z.cells.values()}
-        )
-    return ShardResult(
-        index=PASSIVE_SHARD_INDEX,
-        dataset=dataset,
-        macro_cells=macro_cells,
+        active_cell_ids=campaign.connected_cell_ids(),
+        macro_cells=campaign.macro_cells,
     )
 
 
@@ -207,10 +164,7 @@ def execute_shard(task: ShardTask) -> ShardResult:
     ) as span:
         _maybe_fail(task)
         started = time.perf_counter()
-        if task.window is None:
-            result = _run_passive_shard(task)
-        else:
-            result = _run_window_shard(task)
+        result = _run_window_shard(task)
         result.wall_s = time.perf_counter() - started
         span.set(records=result.records)
         if tracer.enabled:

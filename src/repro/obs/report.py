@@ -40,7 +40,7 @@ __all__ = [
     "validate_trace",
 ]
 
-#: Children may overrun their parent by this fraction (clock jitter between
+#: Children may outlast their parent by this fraction (clock jitter between
 #: ``perf_counter`` reads) before validation flags them.
 _OVERRUN_TOLERANCE = 0.01
 

@@ -27,16 +27,21 @@ Two independent partitions exist per operator:
 * the **macro** partition, the sparse LTE anchor grid that the passive
   handover-logger phones camped on for the whole trip (drives Table 1's
   trip-wide handover counts).
+
+A campaign's network is one :class:`TiledDeployment` per operator, built
+lazily in fixed tiles that are pure functions of (seed, operator, tile):
+every phone and every route shard sees the same cells at the same mark.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.rng import choose_weighted, clamp
+from repro.rng import RngFactory, choose_weighted, clamp
 
 from repro.errors import DeploymentError
 from repro.geo.regions import RegionType
@@ -53,9 +58,22 @@ __all__ = [
     "ZoneLengthParams",
     "DeploymentZone",
     "DeploymentModel",
+    "TILE_LENGTH_M",
+    "TiledDeployment",
 ]
 
 TechMix = dict[RadioTechnology, float]
+
+#: Length of one deployment tile.  Window shards start and end on tile
+#: edges, so every zone belongs to exactly one window.
+TILE_LENGTH_M = 50_000.0
+
+#: Per-tile id namespaces (tile ``t`` starts at ``stride * (t + 1)``); a tile
+#: holds a few thousand cells, so the handover engine's ping-pong phantoms
+#: (``sequence + 500_000``) never collide with a real cell.
+_CELL_ID_STRIDE = 2_000_000
+_MACRO_CELL_OFFSET = 1_000_000
+_ZONE_INDEX_STRIDE = 100_000
 
 _LTE = RadioTechnology.LTE
 _LTE_A = RadioTechnology.LTE_A
@@ -309,12 +327,12 @@ class DeploymentModel:
     def _lookup(
         zones: list[DeploymentZone], starts: list[float], mark_m: float
     ) -> DeploymentZone:
-        if mark_m < 0.0 or mark_m > zones[-1].end_m:
+        if not zones[0].start_m <= mark_m <= zones[-1].end_m:
             raise DeploymentError(
-                f"mark {mark_m} outside deployed range [0, {zones[-1].end_m}]"
+                f"mark {mark_m} outside deployed range "
+                f"[{zones[0].start_m}, {zones[-1].end_m}]"
             )
-        idx = bisect.bisect_right(starts, mark_m) - 1
-        return zones[max(idx, 0)]
+        return zones[bisect.bisect_right(starts, mark_m) - 1]
 
     # -- construction ----------------------------------------------------
 
@@ -344,11 +362,8 @@ class DeploymentModel:
             Optional override of the per-region best-technology mix,
             bypassing :data:`DEFAULT_TECH_MIX` (used for ablations).
         start_m / end_m:
-            Optional route span to deploy, in route meters.  The sharded
-            execution engine builds each route shard's deployment only over
-            its own window (plus an overrun margin), so the total deployment
-            work across all shards stays proportional to the route length.
-            Defaults to the full route.
+            Optional route span to deploy (default: the full route).  Ids
+            are namespaced by the tile holding ``start_m``.
         """
         if end_m is None:
             end_m = route.total_length_m
@@ -356,8 +371,11 @@ class DeploymentModel:
             raise DeploymentError(
                 f"invalid deployment span [{start_m}, {end_m})"
             )
-        zones = cls._build_active_zones(operator, route, rng, tech_mix, start_m, end_m)
-        macro = cls._build_macro_zones(operator, route, rng, start_m, end_m)
+        namespace = int(start_m // TILE_LENGTH_M) + 1
+        zones = cls._build_active_zones(
+            operator, route, rng, tech_mix, start_m, end_m, namespace
+        )
+        macro = cls._build_macro_zones(operator, route, rng, start_m, end_m, namespace)
         return cls(operator=operator, zones=zones, macro_zones=macro)
 
     @classmethod
@@ -369,11 +387,12 @@ class DeploymentModel:
         tech_mix: dict[RegionType, TechMix] | None,
         start_m: float,
         span_end_m: float,
+        namespace: int,
     ) -> list[DeploymentZone]:
         zones: list[DeploymentZone] = []
-        cell_seq = 0
+        cell_seq = _CELL_ID_STRIDE * namespace
         mark = start_m
-        index = 0
+        index = _ZONE_INDEX_STRIDE * namespace
         total = span_end_m
         while mark < total:
             pos = route.position_at(min(mark, total))
@@ -432,14 +451,15 @@ class DeploymentModel:
         operator: Operator,
         route: Route,
         rng: np.random.Generator,
-        start_m: float = 0.0,
-        span_end_m: float | None = None,
+        start_m: float,
+        span_end_m: float,
+        namespace: int,
     ) -> list[DeploymentZone]:
         zones: list[DeploymentZone] = []
-        cell_seq = 1_000_000  # disjoint id space from the active layer
+        cell_seq = _CELL_ID_STRIDE * namespace + _MACRO_CELL_OFFSET
         mark = start_m
-        index = 0
-        total = route.total_length_m if span_end_m is None else span_end_m
+        index = _ZONE_INDEX_STRIDE * namespace
+        total = span_end_m
         median = _MACRO_ZONE_MEDIAN_M[operator]
         while mark < total:
             pos = route.position_at(min(mark, total))
@@ -495,10 +515,58 @@ class DeploymentModel:
             return float(rng.uniform(lo, hi))
         return clamp(scale * float(rng.beta(_LOAD_BETA_A, _LOAD_BETA_B)), 0.02, 1.0)
 
-    # -- statistics ------------------------------------------------------
 
-    def unique_cell_count(self) -> int:
-        """Total distinct cells across both layers (Table 1 statistic)."""
-        ids = {c.cell_id for z in self.zones for c in z.cells.values()}
-        ids |= {c.cell_id for z in self.macro_zones for c in z.cells.values()}
-        return len(ids)
+class TiledDeployment:
+    """One operator's deployment along the whole route, built tile by tile.
+
+    Tile ``t`` covers ``[t * TILE_LENGTH_M, min((t + 1) * TILE_LENGTH_M,
+    route length))``, built on its first lookup from the stream
+    ``deploy-{operator code}-{t}`` of ``RngFactory(seed)``.  Instances for
+    the same seed answer every lookup identically, whatever tiles they built
+    and in whatever order.  Queries mirror :class:`DeploymentModel`.
+    """
+
+    def __init__(self, operator: Operator, route: Route, seed: int) -> None:
+        self.operator = operator
+        self.route = route
+        self._n_tiles = math.ceil(route.total_length_m / TILE_LENGTH_M)
+        self._rngs = RngFactory(seed=seed)
+        self._tiles: dict[int, DeploymentModel] = {}
+
+    def _tile(self, t: int) -> DeploymentModel:
+        model = self._tiles.get(t)
+        if model is None:
+            model = DeploymentModel.build(
+                self.operator,
+                self.route,
+                self._rngs.stream(f"deploy-{self.operator.code}-{t}"),
+                start_m=t * TILE_LENGTH_M,
+                end_m=min((t + 1) * TILE_LENGTH_M, self.route.total_length_m),
+            )
+            self._tiles[t] = model
+        return model
+
+    def _tile_of(self, mark_m: float) -> int:
+        if not 0.0 <= mark_m <= self.route.total_length_m:
+            raise DeploymentError(
+                f"mark {mark_m} outside route [0, {self.route.total_length_m}]"
+            )
+        return min(int(mark_m // TILE_LENGTH_M), self._n_tiles - 1)
+
+    def zone_at(self, mark_m: float) -> DeploymentZone:
+        return self._tile(self._tile_of(mark_m)).zone_at(mark_m)
+
+    def macro_zone_at(self, mark_m: float) -> DeploymentZone:
+        return self._tile(self._tile_of(mark_m)).macro_zone_at(mark_m)
+
+    def span(self, start_m: float, end_m: float) -> DeploymentModel:
+        """The tiles over ``[start_m, end_m)`` as one model (a window's span)."""
+        tiles = [
+            self._tile(t)
+            for t in range(self._tile_of(start_m), math.ceil(end_m / TILE_LENGTH_M))
+        ]
+        return DeploymentModel(
+            operator=self.operator,
+            zones=[z for model in tiles for z in model.zones],
+            macro_zones=[z for model in tiles for z in model.macro_zones],
+        )

@@ -62,15 +62,16 @@ from repro.engine import (
     build_task_batches,
     execute_jobs,
 )
-from repro.engine.checkpoint import config_fingerprint
+from repro.engine.checkpoint import config_fingerprint, route_digest, source_digest
 from repro.engine.merge import merge_shard_results
 from repro.engine.metrics import ShardMetrics
-from repro.engine.planner import PASSIVE_SHARD_INDEX, ShardPlan, plan_campaign
+from repro.engine.planner import ShardPlan, plan_campaign
 from repro.engine.worker import ShardResult, ShardTask
 from repro.errors import EngineError, SweepError
 from repro.geo.route import Route, build_cross_country_route
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.obs.trace import get_tracer
+from repro.store.format import STORE_FORMAT_VERSION
 from repro.sweep.cache import CacheStats, ShardCache
 from repro.sweep.report import SeedRunMetrics, SweepReport
 from repro.sweep.stats import (
@@ -201,7 +202,6 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
         retries: dict[int, dict[int, int]] = {}
         hits: dict[int, int] = {}
         pendings: dict[int, list] = {}
-        passives: dict[int, bool] = {}
         seed_batches: dict[int, list[tuple[ShardTask, ...]]] = {}
 
         for seed in config.seeds:
@@ -221,7 +221,7 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
                 fingerprint = config_fingerprint(
                     engine_cfg.campaign, plan, campaign_route
                 )
-                indices = [PASSIVE_SHARD_INDEX] + [w.index for w in plan.windows]
+                indices = [w.index for w in plan.windows]
 
                 seed_results: dict[int, ShardResult] = {}
                 if cache is not None:
@@ -237,7 +237,6 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
             pendings[seed] = [
                 w for w in plan.windows if w.index not in seed_results
             ]
-            passives[seed] = PASSIVE_SHARD_INDEX not in seed_results
 
         def on_result(
             tag: Hashable, outcomes: list[ShardResult], attempt: int
@@ -257,7 +256,7 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
             for seed in config.seeds:
                 seed_batches[seed] = build_task_batches(
                     engine_cfgs[seed], plans[seed], pendings[seed],
-                    passives[seed], fingerprints[seed], route,
+                    fingerprints[seed], route,
                     trace_parent=exec_span.span_id,
                 )
             jobs: list[tuple[Hashable, tuple[ShardTask, ...]]] = []
@@ -290,6 +289,11 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
         datasets: dict[int, DriveDataset] = {}
         engine_reports: dict[int, EngineReport] = {}
         seed_runs: list[SeedRunMetrics] = []
+        digests = dict(
+            route_digest=route_digest(campaign_route),
+            source_digest=source_digest(),
+            store_format_version=STORE_FORMAT_VERSION,
+        )
         for seed in config.seeds:
             plan = plans[seed]
             merge_started = time.perf_counter()
@@ -316,16 +320,16 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
                     catalog.ingest(dataset, seed=seed)
 
             window_span = {w.index: (w.start_m, w.end_m) for w in plan.windows}
-            window_span[PASSIVE_SHARD_INDEX] = (0.0, campaign_route.total_length_m)
             report = EngineReport(
                 executor=stats.executor,
                 workers=stats.workers,
                 n_windows=plan.n_windows,
                 n_batches=len(seed_batches[seed]),
                 cache_hits=hits[seed],
-                cache_misses=(plan.n_windows + 1 - hits[seed]) if cache else 0,
+                cache_misses=(plan.n_windows - hits[seed]) if cache else 0,
                 validated=config.validate,
                 merge_s=merge_s,
+                **digests,
             )
             report.shards = [
                 ShardMetrics(
@@ -349,10 +353,11 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
                     fingerprint=fingerprints[seed],
                     compute_wall_s=report.shard_wall_s,
                     records=report.total_records,
-                    n_shards=plan.n_windows + 1,
+                    n_shards=plan.n_windows,
                     cache_hits=report.cache_hits,
                     cache_misses=report.cache_misses,
                     retries=report.total_retries,
+                    **digests,
                 )
             )
         if catalog is not None:

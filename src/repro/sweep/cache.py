@@ -15,8 +15,9 @@ On-disk layout (one entry per shard, fanned out by key prefix)::
     <directory>/objects/<key[:2]>/<key>/
         data.rcol     shard-local dataset, columnar
                       (byte-reproducible, atomic — repro.store.format)
-        meta.json     sidecar: fingerprint, seed, index, cell counts,
-                      wall time, record count, metrics snapshot
+        meta.json     sidecar: fingerprint, seed, index, connected cell
+                      ids, macro-cell counts, wall time, record count,
+                      metrics snapshot
 
 Guarantees:
 
@@ -49,7 +50,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.campaign.persistence import load_dataset, save_dataset
-from repro.engine.planner import PASSIVE_SHARD_INDEX
 from repro.engine.worker import ShardResult
 from repro.errors import ReproError, SweepError
 from repro.obs.metrics import MetricsRegistry
@@ -62,8 +62,8 @@ _META_NAME = "meta.json"
 
 
 def shard_stem(index: int) -> str:
-    """Canonical name of one shard (``shard-0007``, ``shard-passive``)."""
-    return "shard-passive" if index == PASSIVE_SHARD_INDEX else f"shard-{index:04d}"
+    """Canonical name of one shard (``shard-0007``)."""
+    return f"shard-{index:04d}"
 
 
 def _shard_meta(result: ShardResult, fingerprint: str, seed: int) -> dict:
@@ -80,7 +80,9 @@ def _shard_meta(result: ShardResult, fingerprint: str, seed: int) -> dict:
         "index": result.index,
         "wall_s": result.wall_s,
         "records": result.records,
-        "active_cells": {op.name: n for op, n in result.active_cells.items()},
+        "active_cell_ids": {
+            op.name: ids for op, ids in result.active_cell_ids.items()
+        },
         "macro_cells": {op.name: n for op, n in result.macro_cells.items()},
     }
     if result.metrics is not None:
@@ -94,7 +96,10 @@ def _shard_from_parts(index: int, meta: dict, dataset) -> ShardResult:
     return ShardResult(
         index=index,
         dataset=dataset,
-        active_cells={Operator[name]: n for name, n in meta["active_cells"].items()},
+        active_cell_ids={
+            Operator[name]: [int(i) for i in ids]
+            for name, ids in meta["active_cell_ids"].items()
+        },
         macro_cells={Operator[name]: n for name, n in meta["macro_cells"].items()},
         wall_s=float(meta["wall_s"]),
         metrics=metrics if isinstance(metrics, dict) else None,

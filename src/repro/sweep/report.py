@@ -24,8 +24,9 @@ __all__ = ["SeedRunMetrics", "SweepReport", "SWEEP_SCHEMA_VERSION"]
 #: Version of the sweep report JSON format; bump on any field change.
 #: History: 1 = initial sweep report; 2 = timings at full precision (must
 #: reconcile exactly with trace-derived sums — see ``repro.obs``) and the
-#: optional run-level ``metrics`` snapshot.
-SWEEP_SCHEMA_VERSION = 2
+#: optional run-level ``metrics`` snapshot; 3 = per-seed fingerprint inputs
+#: (``route_digest``, ``source_digest``, ``store_format_version``).
+SWEEP_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,6 +44,10 @@ class SeedRunMetrics:
     cache_hits: int
     cache_misses: int
     retries: int
+    #: Inputs of ``fingerprint`` (see ``EngineReport``).
+    route_digest: str = ""
+    source_digest: str = ""
+    store_format_version: int = 0
 
     def cache_hit_ratio(self) -> float:
         looked_up = self.cache_hits + self.cache_misses
@@ -62,6 +67,9 @@ class SeedRunMetrics:
             "cache_misses": self.cache_misses,
             "cache_hit_ratio": round(self.cache_hit_ratio(), 4),
             "retries": self.retries,
+            "route_digest": self.route_digest,
+            "source_digest": self.source_digest,
+            "store_format_version": self.store_format_version,
         }
 
     @classmethod
@@ -80,6 +88,9 @@ class SeedRunMetrics:
             cache_hits=int(obj.get("cache_hits", 0)),
             cache_misses=int(obj.get("cache_misses", 0)),
             retries=int(obj.get("retries", 0)),
+            route_digest=str(obj.get("route_digest", "")),
+            source_digest=str(obj.get("source_digest", "")),
+            store_format_version=int(obj.get("store_format_version", 0)),
         )
 
 

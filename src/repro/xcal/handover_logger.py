@@ -12,7 +12,7 @@ This module models that logger as a route walker: it traverses the
 operator's deployment zone by zone under the ``IDLE_PING`` traffic profile,
 emitting :class:`~repro.campaign.dataset.PassiveCoverageSegment` records,
 and counts the macro-grid handovers that dominate Table 1's trip-wide
-handover totals.
+handover totals.  Each campaign window walks its own span of the network.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ __all__ = ["HandoverLoggerTrace", "run_handover_logger"]
 
 @dataclass(frozen=True)
 class HandoverLoggerTrace:
-    """Everything one passive phone recorded over the trip."""
+    """Everything one passive phone recorded over the walked span."""
 
     operator: Operator
     segments: list[PassiveCoverageSegment]
-    #: Trip-wide handovers on the macro (LTE anchor) grid — the Table 1
-    #: numbers (2657/4119/2494 for V/T/A).
+    #: Handovers between the walked macro (LTE anchor) zones; summed over
+    #: the trip, the Table 1 numbers (2657/4119/2494 for V/T/A).
     macro_handovers: int
     #: Distinct macro cells camped on.
     macro_cells: int
@@ -66,7 +66,8 @@ def run_handover_logger(
     deployment: DeploymentModel,
     rng: np.random.Generator,
 ) -> HandoverLoggerTrace:
-    """Walk the route as the passive logger phone.
+    """Walk ``deployment`` (a window's span, or the whole route) as the
+    passive logger phone.
 
     The technology view comes from the active-layer deployment under the
     idle policy (what Android's API would report); the handover count comes

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.campaign.runner import CampaignConfig, DriveCampaign
+from repro.campaign.runner import CampaignConfig, generate_dataset
 from repro.geo.route import build_cross_country_route
 
 
@@ -20,28 +20,17 @@ def route():
 
 
 @pytest.fixture(scope="session")
-def campaign():
+def dataset():
     """A small but complete campaign (apps + static), shared read-only."""
-    c = DriveCampaign(CampaignConfig(seed=42, scale=0.035))
-    c.run()
-    c.finalize_connected_cells()
-    return c
-
-
-@pytest.fixture(scope="session")
-def dataset(campaign):
-    return campaign._dataset
+    return generate_dataset(seed=42, scale=0.035)
 
 
 @pytest.fixture(scope="session")
 def bare_dataset():
     """Throughput/RTT-only dataset (no apps, no static) for faster tests."""
-    c = DriveCampaign(
-        CampaignConfig(seed=7, scale=0.008, include_apps=False, include_static=False)
+    return generate_dataset(
+        seed=7, scale=0.008, include_apps=False, include_static=False
     )
-    ds = c.run()
-    c.finalize_connected_cells()
-    return ds
 
 
 @pytest.fixture()

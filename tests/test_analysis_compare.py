@@ -3,19 +3,15 @@
 import pytest
 
 from repro.analysis.compare import compare_datasets
-from repro.campaign.runner import CampaignConfig, DriveCampaign
+from repro.campaign.runner import generate_dataset
 from repro.errors import AnalysisError
 from repro.campaign.dataset import DriveDataset
 
 
 @pytest.fixture(scope="module")
 def pair():
-    a = DriveCampaign(
-        CampaignConfig(seed=11, scale=0.008, include_apps=False, include_static=False)
-    ).run()
-    b = DriveCampaign(
-        CampaignConfig(seed=12, scale=0.008, include_apps=False, include_static=False)
-    ).run()
+    a = generate_dataset(seed=11, scale=0.008, include_apps=False, include_static=False)
+    b = generate_dataset(seed=12, scale=0.008, include_apps=False, include_static=False)
     return a, b
 
 

@@ -2,10 +2,16 @@
 
 import pytest
 
-from repro.campaign.runner import CampaignConfig, DriveCampaign
+from repro.campaign.runner import CampaignConfig
 from repro.campaign.scheduler import FULL_CYCLE, NETWORK_ONLY_CYCLE, CyclePlan
 from repro.campaign.tests import TestType
+from repro.engine import EngineConfig, run_engine
 from repro.errors import CampaignError
+
+
+def run_campaign(config: CampaignConfig):
+    dataset, _report = run_engine(EngineConfig(campaign=config, executor="serial"))
+    return dataset
 
 
 class TestCyclePlan:
@@ -44,7 +50,7 @@ class TestCustomCycles:
             seed=3, scale=0.004, include_static=False,
             cycle=CyclePlan(tests=(TestType.RTT,)),
         )
-        ds = DriveCampaign(config).run()
+        ds = run_campaign(config)
         assert ds.rtt_samples
         assert not ds.throughput_samples
         assert not ds.video_runs
@@ -54,7 +60,7 @@ class TestCustomCycles:
             seed=3, scale=0.004, include_static=False,
             cycle=CyclePlan(tests=(TestType.DOWNLINK_THROUGHPUT, TestType.VIDEO_360)),
         )
-        ds = DriveCampaign(config).run()
+        ds = run_campaign(config)
         assert ds.video_runs
         assert not ds.gaming_runs
         assert not ds.offload_runs
@@ -63,6 +69,6 @@ class TestCustomCycles:
         config = CampaignConfig(
             seed=3, scale=0.004, include_apps=False, include_static=False,
         )
-        ds = DriveCampaign(config).run()
+        ds = run_campaign(config)
         assert ds.throughput_samples
         assert not ds.offload_runs

@@ -75,8 +75,8 @@ class TestEngineReport:
                 planner=PlannerParams(window_km=ENGINE_WINDOW_KM),
             )
         )
-        # windows + the passive shard, in index order
-        assert len(report.shards) == report.n_windows + 1
+        # one shard per window, in index order
+        assert len(report.shards) == report.n_windows
         indices = [s.index for s in report.shards]
         assert indices == sorted(indices)
         assert report.total_records == sum(s.records for s in report.shards)
@@ -99,6 +99,14 @@ class TestEngineReport:
         assert obj["n_windows"] == report.n_windows
         assert obj["total_records"] == report.total_records
         assert len(obj["shards"]) == len(report.shards)
+        # The fingerprint's inputs: why a replayed shard would be trusted.
+        from repro.engine.checkpoint import route_digest, source_digest
+        from repro.geo.route import build_cross_country_route
+        from repro.store.format import STORE_FORMAT_VERSION
+
+        assert obj["route_digest"] == route_digest(build_cross_country_route())
+        assert obj["source_digest"] == source_digest()
+        assert obj["store_format_version"] == STORE_FORMAT_VERSION
 
     def test_report_schema_version_and_from_obj(self, tmp_path):
         import json

@@ -17,7 +17,7 @@ from repro.engine import (
     run_engine,
 )
 from repro.engine.checkpoint import config_fingerprint
-from repro.engine.planner import PASSIVE_SHARD_INDEX, plan_campaign
+from repro.engine.planner import plan_campaign
 from repro.errors import EngineError
 from repro.geo.route import build_cross_country_route
 from repro.obs.report import load_summary, validate_trace
@@ -37,7 +37,7 @@ def checkpoint_cache(ckpt):
 
     route = build_cross_country_route()
     plan = plan_campaign(ENGINE_CAMPAIGN, route, PLANNER)
-    indices = [PASSIVE_SHARD_INDEX] + [w.index for w in plan.windows]
+    indices = [w.index for w in plan.windows]
     return ShardCache(ckpt), config_fingerprint(ENGINE_CAMPAIGN, plan, route), indices
 
 
@@ -137,8 +137,8 @@ class TestCheckpointResume:
         _, base = engine_baseline
         ckpt = tmp_path / "ckpt"
 
-        # First run dies on shard 3 with no retry budget, leaving the
-        # passive shard and windows 0-2 checkpointed.
+        # First run dies on shard 3 with no retry budget, leaving
+        # windows 0-2 checkpointed.
         with pytest.raises(EngineError):
             run_engine(
                 engine_config(
@@ -149,7 +149,7 @@ class TestCheckpointResume:
                 )
             )
         stored = stored_shards(ckpt)
-        assert stored == [PASSIVE_SHARD_INDEX, 0, 1, 2]
+        assert stored == [0, 1, 2]
 
         # Second run resumes from the checkpoints and completes cleanly.
         ds, report = run_engine(

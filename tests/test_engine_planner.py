@@ -11,6 +11,7 @@ from repro.engine.planner import (
     TEST_ID_STRIDE,
     nominal_cycle_duration_s,
 )
+from repro.radio.deployment import TILE_LENGTH_M
 from repro.errors import EngineError
 from repro.geo.coords import LatLon
 from repro.geo.regions import RegionType
@@ -45,12 +46,18 @@ class TestDecomposition:
             config, route, params
         )
 
-    def test_overrun_covers_one_cycle(self, plan, config):
-        # A cycle started just before a window's end must stay inside the
-        # deployment span even at maximum speed.
-        cycle_s = nominal_cycle_duration_s(config)
+    def test_windows_lie_on_tile_edges(self, plan, route):
+        # Every window is a run of whole deployment tiles, so each zone of
+        # the seed's network belongs to exactly one window.
         for window in plan.windows:
-            assert window.overrun_m >= cycle_s * 45.0
+            assert window.start_m % TILE_LENGTH_M == 0.0
+            assert window.end_m - window.start_m >= min(
+                TILE_LENGTH_M, route.total_length_m - window.start_m
+            )
+            assert (
+                window.end_m % TILE_LENGTH_M == 0.0
+                or window.end_m == route.total_length_m
+            )
 
     def test_window_km_override(self, config, route):
         coarse = plan_campaign(config, route, PlannerParams(window_km=2000.0))

@@ -10,7 +10,7 @@ from repro.apps.gaming import run_gaming_session
 from repro.apps.offload import AR_CONFIG, CAV_CONFIG, run_offload_app
 from repro.apps.schedule import LinkSchedule
 from repro.apps.video import VideoConfig, run_video_session
-from repro.campaign.runner import CampaignConfig, DriveCampaign
+from repro.campaign.runner import generate_dataset
 from repro.geo.regions import RegionType
 from repro.radio.deployment import DeploymentModel, TechMix
 from repro.radio.operators import Operator
@@ -72,9 +72,9 @@ class TestDegenerateDeployments:
 
 class TestTinyCampaigns:
     def test_minimal_scale_still_valid(self):
-        ds = DriveCampaign(
-            CampaignConfig(seed=1, scale=0.002, include_apps=False, include_static=False)
-        ).run()
+        ds = generate_dataset(
+            seed=1, scale=0.002, include_apps=False, include_static=False
+        )
         assert ds.throughput_samples
         # Handover records stay classifiable even with few events.
         if ds.handovers:
@@ -84,9 +84,7 @@ class TestTinyCampaigns:
     def test_static_only_city_skips_are_safe(self):
         """Static batteries skip operator-city combos without high-speed 5G
         (as the paper did) rather than crashing."""
-        ds = DriveCampaign(
-            CampaignConfig(seed=2, scale=0.002, include_apps=False)
-        ).run()
+        ds = generate_dataset(seed=2, scale=0.002, include_apps=False)
         static_tests = ds.tests_of(static=True)
         # Some cities yield static tests; combos without 5G were skipped.
         assert 0 < len(static_tests) <= 10 * 3 * 3

@@ -71,15 +71,14 @@ class TestPaperSchedule:
         assert 5 <= days <= 9
 
     def test_exported_logs_span_calendar_days(self, route):
-        from repro.campaign.runner import CampaignConfig, DriveCampaign
+        from repro.campaign.runner import generate_dataset
         from repro.xcal.export import export_logs
         from repro.sync.matcher import match_logs
 
-        campaign = DriveCampaign(
-            CampaignConfig(seed=4, scale=0.003, include_apps=False, include_static=False)
+        ds = generate_dataset(
+            seed=4, scale=0.003, include_apps=False, include_static=False
         )
-        ds = campaign.run()
-        drms, logs = export_logs(ds, campaign.route, timeline=build_paper_timeline())
+        drms, logs = export_logs(ds, route, timeline=build_paper_timeline())
         days = {d.start_local.date() for d in drms}
         assert len(days) >= 4  # the trip crosses multiple calendar days
         # Matching still succeeds across the day boundaries.

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import coverage, handovers, longterm, ookla, performance
 from repro.analysis.correlation import correlation_table
-from repro.campaign.runner import CampaignConfig, DriveCampaign
+from repro.campaign.runner import generate_dataset
 from repro.campaign.tests import TestType
 from repro.radio.operators import Operator
 from repro.sync.database import ConsolidatedDatabase
@@ -30,8 +30,8 @@ class TestFullPipeline:
         for op in Operator:
             handovers.handovers_per_mile(dataset, op, "downlink")
 
-    def test_log_round_trip_preserves_analysis_inputs(self, campaign, dataset):
-        drms, logs = export_logs(dataset, campaign.route, max_tests=60)
+    def test_log_round_trip_preserves_analysis_inputs(self, route, dataset):
+        drms, logs = export_logs(dataset, route, max_tests=60)
         pairs = match_logs(drms, logs)
         db = ConsolidatedDatabase.build(pairs)
         assert db.match_rate() > 0.95
@@ -53,22 +53,22 @@ class TestFullPipeline:
 
 class TestScaleBehaviour:
     def test_tiny_campaign_still_covers_timezones(self):
-        ds = DriveCampaign(
-            CampaignConfig(seed=99, scale=0.004, include_apps=False, include_static=False)
-        ).run()
+        ds = generate_dataset(
+            seed=99, scale=0.004, include_apps=False, include_static=False
+        )
         zones = {s.timezone for s in ds.throughput_samples}
         assert len(zones) >= 3
 
     def test_apps_can_be_disabled(self):
-        ds = DriveCampaign(
-            CampaignConfig(seed=99, scale=0.004, include_apps=False, include_static=False)
-        ).run()
+        ds = generate_dataset(
+            seed=99, scale=0.004, include_apps=False, include_static=False
+        )
         assert not ds.offload_runs
         assert not ds.video_runs
         assert not ds.gaming_runs
 
     def test_static_can_be_disabled(self):
-        ds = DriveCampaign(
-            CampaignConfig(seed=99, scale=0.004, include_apps=False, include_static=False)
-        ).run()
+        ds = generate_dataset(
+            seed=99, scale=0.004, include_apps=False, include_static=False
+        )
         assert not ds.tput(static=True)

@@ -155,3 +155,26 @@ class TestDeploymentModel:
             z.length_m for z in model.zones if z.best_tech.is_high_throughput
         ) / total
         assert hs < 0.08
+
+
+class TestSpanLookup:
+    """A model built over a span answers only for marks inside that span."""
+
+    @pytest.fixture(scope="class")
+    def span_model(self, route):
+        return DeploymentModel.build(
+            Operator.VERIZON, route, np.random.default_rng(8),
+            start_m=100_000.0, end_m=150_000.0,
+        )
+
+    def test_marks_inside_the_span_resolve(self, span_model):
+        assert span_model.zone_at(100_000.0).start_m == 100_000.0
+        assert span_model.zone_at(150_000.0).end_m == 150_000.0
+        assert span_model.macro_zone_at(125_000.0).start_m <= 125_000.0
+
+    @pytest.mark.parametrize("mark", [0.0, 20_000.0, 99_999.0, 150_001.0, 200_000.0])
+    def test_marks_outside_the_span_raise(self, span_model, mark):
+        with pytest.raises(DeploymentError, match=r"\[100000\.0, 150000\.0\]"):
+            span_model.zone_at(mark)
+        with pytest.raises(DeploymentError, match=r"\[100000\.0, 150000\.0\]"):
+            span_model.macro_zone_at(mark)

@@ -12,7 +12,10 @@ from repro.sweep.stats import StatisticSummary
 
 
 def _engine_obj(**extra) -> dict:
-    report = EngineReport(executor="serial", workers=1, n_windows=2, n_batches=2)
+    report = EngineReport(
+        executor="serial", workers=1, n_windows=2, n_batches=2,
+        route_digest="r" * 64, source_digest="s" * 64, store_format_version=1,
+    )
     report.shards = [
         ShardMetrics(
             index=0, start_km=0.0, end_km=100.0, wall_s=1.5,
@@ -32,6 +35,8 @@ def _sweep_obj(**extra) -> dict:
             SeedRunMetrics(
                 seed=41, fingerprint="abc", compute_wall_s=2.0, records=5,
                 n_shards=4, cache_hits=1, cache_misses=3, retries=0,
+                route_digest="r" * 64, source_digest="s" * 64,
+                store_format_version=1,
             )
         ],
         statistics=[
@@ -78,6 +83,20 @@ class TestEngineReportForwardCompat:
         obj = _engine_obj()
         assert EngineReport.from_obj(obj).to_obj() == obj
 
+    def test_fingerprint_inputs_round_trip(self):
+        report = EngineReport.from_obj(_engine_obj())
+        assert report.route_digest == "r" * 64
+        assert report.source_digest == "s" * 64
+        assert report.store_format_version == 1
+
+    def test_fingerprint_inputs_default_when_absent(self):
+        obj = _engine_obj()
+        for key in ("route_digest", "source_digest", "store_format_version"):
+            del obj[key]
+        report = EngineReport.from_obj(obj)
+        assert (report.route_digest, report.source_digest) == ("", "")
+        assert report.store_format_version == 0
+
     def test_missing_structural_field_still_fails(self):
         obj = _engine_obj()
         del obj["executor"]
@@ -119,3 +138,17 @@ class TestSweepReportForwardCompat:
     def test_roundtrip_still_exact(self):
         obj = _sweep_obj()
         assert SweepReport.from_obj(obj).to_obj() == obj
+
+    def test_fingerprint_inputs_round_trip(self):
+        run = SweepReport.from_obj(_sweep_obj()).seed_runs[0]
+        assert run.route_digest == "r" * 64
+        assert run.source_digest == "s" * 64
+        assert run.store_format_version == 1
+
+    def test_fingerprint_inputs_default_when_absent(self):
+        obj = _sweep_obj()
+        for key in ("route_digest", "source_digest", "store_format_version"):
+            del obj["seed_runs"][0][key]
+        run = SweepReport.from_obj(obj).seed_runs[0]
+        assert (run.route_digest, run.source_digest) == ("", "")
+        assert run.store_format_version == 0

@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.campaign.dataset import DriveDataset, RttSample
-from repro.engine.planner import PASSIVE_SHARD_INDEX, plan_campaign
+from repro.engine.planner import plan_campaign
 from repro.engine.worker import ShardResult
 from repro.errors import SweepError
 from repro.geo.regions import RegionType
@@ -50,7 +50,8 @@ def make_result(index: int = 0, seed: int = 42, n_rtts: int = 1) -> ShardResult:
         )
     return ShardResult(
         index=index, dataset=ds,
-        active_cells={Operator.VERIZON: 3}, wall_s=1.5,
+        active_cell_ids={Operator.VERIZON: [2_000_001, 2_000_004, 2_500_001]},
+        macro_cells={Operator.VERIZON: 7}, wall_s=1.5,
     )
 
 
@@ -63,8 +64,8 @@ class TestAddressing:
         assert key(FP, 1, 42) != base
         assert key(FP, 0, 43) != base
 
-    def test_passive_shard_has_its_own_stem(self):
-        assert shard_stem(PASSIVE_SHARD_INDEX) == "shard-passive"
+    def test_shard_stem_names_the_window(self):
+        assert shard_stem(0) == "shard-0000"
         assert shard_stem(7) == "shard-0007"
 
 
@@ -78,7 +79,8 @@ class TestRoundTrip:
         assert loaded.from_cache
         assert loaded.index == 3
         assert loaded.wall_s == result.wall_s
-        assert loaded.active_cells == result.active_cells
+        assert loaded.active_cell_ids == result.active_cell_ids
+        assert loaded.macro_cells == result.macro_cells
         assert [s.rtt_ms for s in loaded.dataset.rtt_samples] == [
             s.rtt_ms for s in result.dataset.rtt_samples
         ]
@@ -89,7 +91,7 @@ class TestRoundTrip:
         cache = ShardCache(tmp_path)
         cache.store(FP, 42, make_result(index=0))
         cache.store(FP, 42, make_result(index=2))
-        found = cache.load_many(FP, 42, [0, 1, 2, PASSIVE_SHARD_INDEX])
+        found = cache.load_many(FP, 42, [0, 1, 2, 3])
         assert sorted(found) == [0, 2]
         assert cache.stats.hits == 2
         assert cache.stats.misses == 2
@@ -266,7 +268,7 @@ class TestCheckpointStore:
     def test_load_missing_returns_none(self, tmp_path):
         store = ShardCache(tmp_path / "never-written")
         assert store.load(FP, 42, 0) is None
-        assert store.load_many(FP, 42, [0, 1, PASSIVE_SHARD_INDEX]) == {}
+        assert store.load_many(FP, 42, [0, 1, 2]) == {}
         assert not (tmp_path / "never-written").exists()
 
 

@@ -15,10 +15,12 @@ import pytest
 
 from tests.conftest import ENGINE_CAMPAIGN, ENGINE_WINDOW_KM, engine_dataset_bytes
 from repro.engine import EngineConfig, PlannerParams, run_engine
+from repro.engine.checkpoint import route_digest, source_digest
 from repro.errors import SweepError
 from repro.geo.regions import RegionType
 from repro.geo.route import Route, build_cross_country_route
 from repro.sweep import SweepConfig, SweepReport, run_sweep
+from repro.store.format import STORE_FORMAT_VERSION
 from repro.sweep.report import SWEEP_SCHEMA_VERSION
 
 SEEDS = (ENGINE_CAMPAIGN.seed, ENGINE_CAMPAIGN.seed + 1)
@@ -242,7 +244,10 @@ class TestSweepReport:
         for run in report.seed_runs:
             assert run.records > 0
             assert run.compute_wall_s > 0.0
-            assert run.n_shards == report.n_windows + 1
+            assert run.n_shards == report.n_windows
+            assert run.route_digest == route_digest(build_cross_country_route())
+            assert run.source_digest == source_digest()
+            assert run.store_format_version == STORE_FORMAT_VERSION
         assert report.total_wall_s > 0.0
 
     def test_statistic_lookup(self, swept):

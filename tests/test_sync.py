@@ -4,9 +4,10 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from repro.campaign.runner import CampaignConfig, DriveCampaign
+from repro.campaign.runner import generate_dataset
 from repro.campaign.tests import TestType
 from repro.errors import SyncError
+from repro.geo.route import build_cross_country_route
 from repro.geo.timezones import Timezone
 from repro.sync.database import ConsolidatedDatabase
 from repro.sync.matcher import match_logs
@@ -16,12 +17,10 @@ from repro.xcal.export import export_logs
 
 @pytest.fixture(scope="module")
 def log_bundle():
-    campaign = DriveCampaign(
-        CampaignConfig(seed=21, scale=0.004, include_apps=False, include_static=False)
-    )
-    ds = campaign.run()
-    drms, logs = export_logs(ds, campaign.route)
-    return campaign.route, ds, drms, logs
+    route = build_cross_country_route()
+    ds = generate_dataset(seed=21, scale=0.004, include_apps=False, include_static=False)
+    drms, logs = export_logs(ds, route)
+    return route, ds, drms, logs
 
 
 class TestTimestamps:

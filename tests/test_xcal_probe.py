@@ -5,11 +5,13 @@ from datetime import datetime
 import pytest
 
 from repro.campaign.link import UESession
-from repro.campaign.runner import CampaignConfig, DriveCampaign
 from repro.geo.timezones import Timezone
+from repro.net.servers import ServerRegistry
 from repro.policy.profiles import TrafficProfile
 from repro.radio.ca import Direction
+from repro.radio.deployment import TiledDeployment
 from repro.radio.operators import Operator
+from repro.rng import RngFactory
 from repro.xcal.drm import DrmFile
 from repro.xcal.probe import XcalProbe
 
@@ -17,19 +19,15 @@ TRIP_START = datetime(2022, 8, 8, 15, 0, 0)
 
 
 @pytest.fixture()
-def ticks():
-    """A short run of real LinkTicks from a campaign session."""
-    campaign = DriveCampaign(
-        CampaignConfig(seed=5, scale=0.002, include_apps=False, include_static=False)
-    )
-    session = campaign._sessions[Operator.VERIZON]
+def ticks(route):
+    """A short run of real LinkTicks from a phone on the seed's network."""
+    op = Operator.VERIZON
+    session = UESession(op, TiledDeployment(op, route, seed=5), RngFactory(seed=5))
     out = []
-    position = campaign.route.position_at(10_000.0)
-    server = campaign._servers.select(
-        Operator.VERIZON, position.point, position.timezone
-    )
+    position = route.position_at(10_000.0)
+    server = ServerRegistry(route).select(op, position.point, position.timezone)
     for i in range(20):
-        position = campaign.route.position_at(10_000.0 + i * 15.0)
+        position = route.position_at(10_000.0 + i * 15.0)
         out.append(
             session.tick(
                 i * 0.5, position, 65.0, TrafficProfile.BACKLOGGED_DL,
