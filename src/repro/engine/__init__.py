@@ -13,24 +13,23 @@ This package is the one way a campaign runs: it regenerates the paper's
 3. the :mod:`merger <repro.engine.merge>` stitches shard outputs back into
    one :class:`~repro.campaign.dataset.DriveDataset` in canonical order.
 
-The same root seed therefore yields a **bit-identical dataset for any shard
-batching or worker count** — including the serial path used by
-:func:`repro.generate_dataset`.  Robustness rides on top: per-shard
-checkpoints let an interrupted run resume from completed shards, failed
-workers are retried with bounded budgets (hard worker deaths rebuild the
-process pool), and every run emits an
+The same root seed therefore yields a **bit-identical dataset for any worker
+count** — including the serial path used by :func:`repro.generate_dataset`.
+Robustness rides on top: stored shards let an interrupted run resume from
+completed windows, failed workers are retried with bounded budgets (hard
+worker deaths rebuild the process pool), and every run emits an
 :class:`~repro.engine.metrics.EngineReport`.
 
-A checkpoint directory is a :class:`~repro.sweep.cache.ShardCache` without
-a size bound, addressed by :func:`~repro.engine.checkpoint.config_fingerprint`
-— the same store a sweep's shard cache uses, so a sweep's ``cache_dir`` is
-a valid ``checkpoint_dir`` and :func:`run_engine` replays the shards a
-sweep computed.
-
-For multi-run drivers such as :mod:`repro.sweep`, :func:`execute_jobs` is
-the seed-agnostic execution core — tagged batches in, results out — and a
-:class:`WorkerPool` can be shared across many calls so a 50-seed sweep
-reuses one process pool instead of spinning up fifty.
+:func:`run_shards` is the one execution core, shared by :func:`run_engine`
+and the multi-seed :func:`repro.sweep.run_sweep`: planned campaigns of one
+or many seeds in, per-seed shard results out.  It replays whatever the
+shard store (a :class:`~repro.sweep.cache.ShardCache`) holds, runs every
+pending window as its own job — round-robin across seeds, through one
+process pool — and stores each fresh result from the driver as it arrives.
+A checkpoint directory is a shard cache without a size bound, addressed by
+:func:`~repro.engine.checkpoint.config_fingerprint`, so a sweep's
+``cache_dir`` is a valid ``checkpoint_dir`` and :func:`run_engine` replays
+the shards a sweep computed.
 
 Quickstart::
 
@@ -40,47 +39,67 @@ Quickstart::
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
 
 from repro.campaign.dataset import DriveDataset
-from repro.campaign.runner import CampaignConfig, CampaignWindow
+from repro.campaign.runner import CampaignConfig
 from repro.campaign.validation import validate_dataset
+from repro.engine import worker
 from repro.engine.checkpoint import config_fingerprint, route_digest, source_digest
 from repro.engine.merge import merge_shard_results
 from repro.engine.metrics import EngineReport, ShardMetrics
 from repro.engine.planner import PlannerParams, ShardPlan, plan_campaign
-from repro.engine.worker import (
-    FaultSpec,
-    ShardResult,
-    ShardTask,
-    execute_batch,
-    with_attempt,
-)
-from repro.errors import EngineError
+from repro.engine.worker import FaultSpec, ShardResult, ShardTask
+from repro.errors import EngineError, ReproError
 from repro.geo.route import Route, build_cross_country_route
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.obs.trace import get_tracer
 from repro.store.format import STORE_FORMAT_VERSION
+
+if TYPE_CHECKING:
+    from repro.sweep.cache import ShardCache
 
 __all__ = [
     "EngineConfig",
     "EngineReport",
     "FaultSpec",
     "PlannerParams",
+    "SeedRun",
     "ShardPlan",
-    "WorkerPool",
-    "build_task_batches",
-    "execute_jobs",
+    "check_execution",
+    "fold_metrics",
     "generate_dataset_parallel",
     "plan_campaign",
     "process_pool_usable",
     "run_engine",
+    "run_shards",
+    "seed_report",
 ]
+
+
+def check_execution(
+    executor: str,
+    workers: int | None,
+    max_retries: int,
+    error: type[ReproError] = EngineError,
+) -> None:
+    """Reject execution knobs no run can honour, raising ``error``.
+
+    Every driver config (:class:`EngineConfig`, the sweep's) runs this same
+    check at construction, so a bad knob fails before any work starts.
+    """
+    if executor not in ("process", "serial"):
+        raise error(f"unknown executor {executor!r}")
+    if workers is not None and workers < 1:
+        raise error("workers must be >= 1")
+    if max_retries < 0:
+        raise error("max_retries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -90,10 +109,6 @@ class EngineConfig:
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
     #: Worker processes; ``None`` uses the machine's CPU count.
     workers: int | None = None
-    #: Number of execution batches the windows are grouped into; ``None``
-    #: submits every window as its own batch.  Pure scheduling knob — the
-    #: merged dataset is identical for every value.
-    shards: int | None = None
     #: ``"process"`` (ProcessPoolExecutor) or ``"serial"`` (in-process).
     executor: str = "process"
     planner: PlannerParams = field(default_factory=PlannerParams)
@@ -101,7 +116,7 @@ class EngineConfig:
     #: layout, e.g. a sweep's ``cache_dir``) for per-shard checkpoints;
     #: ``None`` disables them.
     checkpoint_dir: str | None = None
-    #: Retries per shard batch before the run is abandoned.
+    #: Retries per shard before the run is abandoned.
     max_retries: int = 2
     #: Where to write the JSON :class:`EngineReport`; ``None`` skips it.
     report_path: str | None = None
@@ -121,52 +136,7 @@ class EngineConfig:
     inject_faults: Mapping[int, FaultSpec] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.executor not in ("process", "serial"):
-            raise EngineError(f"unknown executor {self.executor!r}")
-        if self.workers is not None and self.workers < 1:
-            raise EngineError("workers must be >= 1")
-        if self.max_retries < 0:
-            raise EngineError("max_retries must be >= 0")
-
-
-# -- task construction -------------------------------------------------------
-
-
-def build_task_batches(
-    config: EngineConfig,
-    plan: ShardPlan,
-    pending_windows: list[CampaignWindow],
-    fingerprint: str,
-    route: Route | None,
-    trace_parent: str | None = None,
-) -> list[tuple[ShardTask, ...]]:
-    """Group the pending windows into submission batches.
-
-    ``trace_parent`` is the orchestrator's execute-span id; it rides on
-    every task so worker-emitted shard spans attach under it.
-    """
-
-    def task(window: CampaignWindow) -> ShardTask:
-        return ShardTask(
-            config=config.campaign,
-            window=window,
-            checkpoint_dir=config.checkpoint_dir,
-            fingerprint=fingerprint,
-            fault=config.inject_faults.get(window.index),
-            parent_pid=os.getpid(),
-            route=route,
-            trace_path=config.trace_path,
-            trace_parent=trace_parent,
-        )
-
-    window_plan = ShardPlan(
-        windows=tuple(pending_windows),
-        nominal_cycle_s=plan.nominal_cycle_s,
-        window_km=plan.window_km,
-    )
-    return [
-        tuple(task(w) for w in group) for group in window_plan.batches(config.shards)
-    ]
+        check_execution(self.executor, self.workers, self.max_retries)
 
 
 # -- executors ---------------------------------------------------------------
@@ -196,53 +166,9 @@ def process_pool_usable() -> bool:
     return _POOL_PROBE_OK
 
 
-class WorkerPool:
-    """A reusable, rebuildable process pool shared across engine calls.
-
-    The engine rebuilds the underlying ``ProcessPoolExecutor`` in place
-    after a hard worker death, so a handle stays valid across failures and
-    across any number of :func:`execute_jobs` / :func:`run_engine` calls.
-    Callers that pass their own pool keep ownership: the engine never shuts
-    down a borrowed pool, only :meth:`shutdown` (or the context manager
-    exit) does.
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise EngineError("workers must be >= 1")
-        self.workers = workers
-        self.rebuilds = 0
-        self._pool: ProcessPoolExecutor | None = None
-
-    @property
-    def executor(self) -> ProcessPoolExecutor:
-        """The live pool, created lazily on first use."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def rebuild(self) -> None:
-        """Discard a broken pool and start a fresh one."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        self.rebuilds += 1
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-
 @dataclass
 class ExecutionStats:
-    """What :func:`execute_jobs` observed while draining its job list."""
+    """What the executor observed while draining a job list."""
 
     #: Executor actually used ("serial" after the platform fallback).
     executor: str
@@ -250,126 +176,122 @@ class ExecutionStats:
     pool_rebuilds: int = 0
 
 
-#: Callback invoked once per completed batch: ``(tag, outcomes, retries)``.
-ResultCallback = Callable[[Hashable, list[ShardResult], int], None]
+#: One job: an opaque unique tag and the window to compute.
+Job = tuple[Hashable, ShardTask]
+#: Callback invoked once per finished job: ``(tag, result, retries)``.
+ResultCallback = Callable[[Hashable, ShardResult, int], None]
+
+
+def _exhausted(task: ShardTask, attempts: int, exc: BaseException) -> EngineError:
+    return EngineError(
+        f"shard {task.index} failed after {attempts} attempts: {exc}",
+        shard_index=task.index,
+    )
 
 
 def _execute_serial(
-    jobs: Sequence[tuple[Hashable, tuple[ShardTask, ...]]],
-    max_retries: int,
-    on_result: ResultCallback,
+    jobs: Sequence[Job], max_retries: int, on_result: ResultCallback
 ) -> None:
-    for tag, batch in jobs:
+    for tag, task in jobs:
         attempt = 0
         while True:
             try:
-                outcomes = execute_batch(with_attempt(batch, attempt))
+                # Looked up on the module at call time, so a wrapped
+                # ``worker.execute_shard`` (a profiler's hook) is honoured.
+                result = worker.execute_shard(replace(task, attempt=attempt))
             except Exception as exc:
                 attempt += 1
                 if attempt > max_retries:
-                    raise EngineError(
-                        f"shard batch {[t.index for t in batch]} failed after "
-                        f"{attempt} attempts: {exc}",
-                        shard_index=batch[0].index,
-                    ) from exc
+                    raise _exhausted(task, attempt, exc) from exc
                 continue
-            on_result(tag, outcomes, attempt)
+            on_result(tag, result, attempt)
             break
 
 
 def _execute_process(
-    jobs: Sequence[tuple[Hashable, tuple[ShardTask, ...]]],
-    max_retries: int,
-    on_result: ResultCallback,
-    pool: WorkerPool,
+    jobs: Sequence[Job], max_retries: int, on_result: ResultCallback, workers: int
 ) -> int:
-    """Drain ``jobs`` through ``pool``; returns the number of pool rebuilds."""
-    outstanding: dict[Hashable, tuple[ShardTask, ...]] = dict(jobs)
+    """Drain ``jobs`` through a process pool; returns the number of pool
+    rebuilds after hard worker deaths."""
+    outstanding: dict[Hashable, ShardTask] = dict(jobs)
     if len(outstanding) != len(jobs):
         raise EngineError("job tags must be unique")
     attempts: dict[Hashable, int] = {tag: 0 for tag in outstanding}
     rebuilds = 0
 
-    def record(tag: Hashable, outcomes: list[ShardResult]) -> None:
-        on_result(tag, outcomes, attempts[tag])
+    def record(tag: Hashable, result: ShardResult) -> None:
+        on_result(tag, result, attempts[tag])
         del outstanding[tag]
 
     def charge(tag: Hashable, exc: BaseException) -> None:
         attempts[tag] += 1
         if attempts[tag] > max_retries:
-            batch = outstanding[tag]
-            raise EngineError(
-                f"shard batch {[t.index for t in batch]} failed after "
-                f"{attempts[tag]} attempts: {exc}",
-                shard_index=batch[0].index,
-            ) from exc
+            raise _exhausted(outstanding[tag], attempts[tag], exc) from exc
 
-    while outstanding:
-        futures = {
-            pool.executor.submit(execute_batch, with_attempt(batch, attempts[tag])): tag
-            for tag, batch in outstanding.items()
-        }
-        pool_broken = False
-        charged: set[Hashable] = set()
-        not_done = set(futures)
-        while not_done and not pool_broken:
-            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-            for future in done:
-                tag = futures[future]
-                try:
-                    record(tag, future.result())
-                except BrokenProcessPool as exc:
-                    # The pool is unusable: salvage nothing more from
-                    # this round, charge the still-unfinished batches
-                    # one attempt each, and rebuild the pool.
-                    pool_broken = True
-                    broken_exc = exc
-                except Exception as exc:
-                    # Soft shard failure — the worker survived, so the
-                    # pool is still usable: spend one retry and leave the
-                    # batch outstanding for the next submission round.
-                    charge(tag, exc)
-                    charged.add(tag)
-        if pool_broken:
-            # Futures that finished before the crash may still hold
-            # usable results — keep them, retry only the rest.
-            for future, tag in futures.items():
-                if tag not in outstanding or tag in charged or not future.done():
-                    continue
-                try:
-                    record(tag, future.result())
-                except BaseException as exc:
-                    # Charge the batch with its real failure, not the
-                    # generic pool error, so the root cause surfaces if
-                    # the retry budget runs out.
-                    charge(tag, exc)
-                    charged.add(tag)
-            for tag in list(outstanding):
-                if tag not in charged:
-                    charge(tag, broken_exc)
-            pool.rebuild()
-            rebuilds += 1
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        while outstanding:
+            futures = {
+                pool.submit(
+                    worker.execute_shard, replace(task, attempt=attempts[tag])
+                ): tag
+                for tag, task in outstanding.items()
+            }
+            pool_broken = False
+            charged: set[Hashable] = set()
+            not_done = set(futures)
+            while not_done and not pool_broken:
+                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+                for future in done:
+                    tag = futures[future]
+                    try:
+                        record(tag, future.result())
+                    except BrokenProcessPool as exc:
+                        # The pool is unusable: salvage nothing more from
+                        # this round, charge the still-unfinished shards
+                        # one attempt each, and rebuild the pool.
+                        pool_broken = True
+                        broken_exc = exc
+                    except Exception as exc:
+                        # Soft shard failure — the worker survived, so the
+                        # pool is still usable: spend one retry and leave
+                        # the shard outstanding for the next round.
+                        charge(tag, exc)
+                        charged.add(tag)
+            if pool_broken:
+                # Futures that finished before the crash may still hold
+                # usable results — keep them, retry only the rest.
+                for future, tag in futures.items():
+                    if tag not in outstanding or tag in charged or not future.done():
+                        continue
+                    try:
+                        record(tag, future.result())
+                    except BaseException as exc:
+                        # Charge the shard with its real failure, not the
+                        # generic pool error, so the root cause surfaces
+                        # if the retry budget runs out.
+                        charge(tag, exc)
+                        charged.add(tag)
+                for tag in list(outstanding):
+                    if tag not in charged:
+                        charge(tag, broken_exc)
+                pool.shutdown(wait=False, cancel_futures=True)
+                pool = ProcessPoolExecutor(max_workers=workers)
+                rebuilds += 1
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
     return rebuilds
 
 
-def execute_jobs(
-    jobs: Sequence[tuple[Hashable, tuple[ShardTask, ...]]],
+def _execute(
+    jobs: Sequence[Job],
     on_result: ResultCallback,
-    *,
-    executor: str = "process",
-    workers: int | None = None,
-    max_retries: int = 2,
-    pool: WorkerPool | None = None,
+    executor: str,
+    workers: int | None,
+    max_retries: int,
 ) -> ExecutionStats:
-    """Run tagged shard batches to completion with retries and pool recovery.
-
-    The seed-agnostic execution core shared by :func:`run_engine` and the
-    multi-seed sweep driver: each job is an opaque ``tag`` plus a batch of
-    :class:`ShardTask`; ``on_result(tag, outcomes, retries)`` fires as each
-    batch completes.  A borrowed :class:`WorkerPool` is reused and left
-    running; otherwise a private pool is created and torn down.  Raises
-    :class:`EngineError` once any batch exhausts ``max_retries``.
-    """
+    """Run every job to completion with retries and pool recovery; raises
+    :class:`EngineError` once any shard exhausts ``max_retries``."""
     n_workers = workers or os.cpu_count() or 1
     if executor == "process" and jobs and not process_pool_usable():
         executor = "serial"
@@ -378,23 +300,169 @@ def execute_jobs(
     )
     if executor == "serial" or not jobs:
         _execute_serial(jobs, max_retries, on_result)
-        return stats
-    if pool is not None:
-        stats.pool_rebuilds = _execute_process(jobs, max_retries, on_result, pool)
-        return stats
-    with WorkerPool(n_workers) as owned:
-        stats.pool_rebuilds = _execute_process(jobs, max_retries, on_result, owned)
+    else:
+        stats.pool_rebuilds = _execute_process(jobs, max_retries, on_result, n_workers)
     return stats
+
+
+# -- the shard core ------------------------------------------------------------
+
+
+@dataclass
+class SeedRun:
+    """One planned campaign's shards, as :func:`run_shards` leaves them."""
+
+    campaign: CampaignConfig
+    plan: ShardPlan
+    fingerprint: str
+    #: Every window's result, replayed or computed, by window index.
+    results: dict[int, ShardResult] = field(default_factory=dict)
+    #: Failed attempts before each computed window's result arrived.
+    retries: dict[int, int] = field(default_factory=dict)
+    #: Windows replayed from / missing in the shard store (both zero when
+    #: the run has no store).
+    cache_hits: int = 0
+    cache_misses: int = 0
+
+
+def run_shards(
+    planned: Sequence[tuple[CampaignConfig, ShardPlan, str]],
+    cache: ShardCache | None,
+    route: Route | None,
+    *,
+    executor: str,
+    workers: int | None,
+    max_retries: int,
+    trace_path: str | None,
+    phase: str,
+    inject_faults: Mapping[int, FaultSpec] | None = None,
+) -> tuple[list[SeedRun], ExecutionStats]:
+    """Bring every window of every planned campaign to a result.
+
+    ``planned`` holds ``(campaign, plan, fingerprint)`` per seed.  Windows
+    ``cache`` can serve are replayed; the rest run as one job each, ordered
+    position-major round-robin across seeds so no seed's tail straggles
+    behind another seed's whole campaign.  Each fresh result is stored in
+    ``cache`` by this driver the moment it arrives, so an interrupted run
+    keeps every finished window.  ``route`` is the caller's custom route
+    (``None``: workers build the canonical one); ``phase`` prefixes the
+    ``<phase>.replay`` and ``<phase>.execute`` spans; ``inject_faults`` maps
+    window indices to :class:`FaultSpec` (testing hook).  Raises
+    :class:`EngineError` once any window exhausts ``max_retries``.
+    """
+    tracer = get_tracer(trace_path)
+    faults = inject_faults or {}
+    runs = [SeedRun(campaign, plan, fp) for campaign, plan, fp in planned]
+    if cache is not None:
+        with tracer.span(f"{phase}.replay") as span:
+            for run in runs:
+                run.results.update(
+                    cache.load_many(
+                        run.fingerprint,
+                        run.campaign.seed,
+                        [w.index for w in run.plan.windows],
+                    )
+                )
+                run.cache_hits = len(run.results)
+                run.cache_misses = run.plan.n_windows - run.cache_hits
+            span.set(hits=sum(run.cache_hits for run in runs))
+
+    def on_result(tag: Hashable, result: ShardResult, attempt: int) -> None:
+        run = runs[tag[0]]
+        run.results[result.index] = result
+        run.retries[result.index] = attempt
+        if cache is not None:
+            cache.store(run.fingerprint, run.campaign.seed, result)
+
+    with tracer.span(f"{phase}.execute") as exec_span:
+        pending = [
+            [w for w in run.plan.windows if w.index not in run.results]
+            for run in runs
+        ]
+        jobs = [
+            (
+                (i, window.index),
+                ShardTask(
+                    config=runs[i].campaign,
+                    window=window,
+                    fault=faults.get(window.index),
+                    parent_pid=os.getpid(),
+                    route=route,
+                    trace_path=trace_path,
+                    trace_parent=exec_span.span_id,
+                ),
+            )
+            for column in itertools.zip_longest(*pending)
+            for i, window in enumerate(column)
+            if window is not None
+        ]
+        exec_span.set(jobs=len(jobs))
+        stats = _execute(jobs, on_result, executor, workers, max_retries)
+    return runs, stats
+
+
+def seed_report(run: SeedRun, stats: ExecutionStats, route: Route) -> EngineReport:
+    """One seed's :class:`EngineReport` as far as execution knows it: the
+    executor, replay counts, fingerprint inputs and one row per shard.
+    Callers add merge time, wall time, validation and metrics."""
+    windows = {w.index: w for w in run.plan.windows}
+    return EngineReport(
+        executor=stats.executor,
+        workers=stats.workers,
+        n_windows=run.plan.n_windows,
+        pool_rebuilds=stats.pool_rebuilds,
+        cache_hits=run.cache_hits,
+        cache_misses=run.cache_misses,
+        route_digest=route_digest(route),
+        source_digest=source_digest(),
+        store_format_version=STORE_FORMAT_VERSION,
+        shards=[
+            ShardMetrics(
+                index=index,
+                start_km=windows[index].start_m / 1000.0,
+                end_km=windows[index].end_m / 1000.0,
+                wall_s=result.wall_s,
+                records=result.records,
+                retries=run.retries.get(index, 0),
+                from_cache=result.from_cache,
+            )
+            for index, result in sorted(run.results.items())
+        ],
+    )
+
+
+def fold_metrics(
+    driver: MetricsRegistry,
+    runs: Sequence[SeedRun],
+    stats: ExecutionStats,
+    phase: str,
+) -> dict:
+    """The driver's counters plus every shard's snapshot, as one snapshot.
+
+    Shard snapshots fold in run order, then shard index, so the section is
+    identical for every executor topology.  Replayed shards fold too:
+    their sidecars carry the snapshot recorded when the shard was computed,
+    and each window appears once, so a resumed or warm run reports the same
+    shard-level totals as an uninterrupted cold one.
+    """
+    driver.count(f"{phase}.pool_rebuilds", stats.pool_rebuilds)
+    driver.count(f"{phase}.retries", sum(sum(run.retries.values()) for run in runs))
+    return merge_snapshots(
+        [driver.snapshot()]
+        + [
+            result.metrics
+            for run in runs
+            for _, result in sorted(run.results.items())
+            if result.metrics is not None
+        ]
+    )
 
 
 # -- entry points ------------------------------------------------------------
 
 
 def run_engine(
-    config: EngineConfig,
-    route: Route | None = None,
-    *,
-    pool: WorkerPool | None = None,
+    config: EngineConfig, route: Route | None = None
 ) -> tuple[DriveDataset, EngineReport]:
     """Execute a campaign under the sharded engine.
 
@@ -403,12 +471,11 @@ def run_engine(
     ``config.validate``) the merged dataset violates an invariant.
 
     With ``config.checkpoint_dir`` set, every shard stored there under this
-    run's fingerprint is replayed instead of recomputed, and workers store
-    each fresh shard the moment it finishes.  ``pool`` lets repeated calls
-    share one :class:`WorkerPool` instead of spinning up a process pool per
-    run.
+    run's fingerprint is replayed instead of recomputed, and each fresh
+    shard is stored the moment it finishes.
     """
     tracer = get_tracer(config.trace_path)
+    driver = MetricsRegistry() if tracer.enabled else None
     started = time.perf_counter()
     with tracer.span(
         "engine.run",
@@ -420,83 +487,35 @@ def run_engine(
             campaign_route = route or build_cross_country_route()
             plan = plan_campaign(config.campaign, campaign_route, config.planner)
             fingerprint = config_fingerprint(config.campaign, plan, campaign_route)
-        indices = [w.index for w in plan.windows]
 
-        results: dict[int, ShardResult] = {}
-        retries: dict[int, int] = {}
+        cache = None
         if config.checkpoint_dir is not None:
             # Imported lazily: repro.sweep imports this package.
             from repro.sweep.cache import ShardCache
 
-            with tracer.span("engine.checkpoint.load") as sp:
-                store = ShardCache(config.checkpoint_dir)
-                results.update(
-                    store.load_many(fingerprint, config.campaign.seed, indices)
-                )
-                for result in results.values():
-                    result.from_cache, result.from_checkpoint = False, True
-                retries.update({index: 0 for index in results})
-                sp.set(hits=len(results))
-
-        pending = [w for w in plan.windows if w.index not in results]
-
-        def on_result(
-            tag: Hashable, outcomes: list[ShardResult], attempt: int
-        ) -> None:
-            for outcome in outcomes:
-                results[outcome.index] = outcome
-                retries[outcome.index] = attempt
-
-        with tracer.span("engine.execute") as exec_span:
-            batches = build_task_batches(
-                config, plan, pending, fingerprint, route,
-                trace_parent=exec_span.span_id,
-            )
-            exec_span.set(batches=len(batches))
-            stats = execute_jobs(
-                list(enumerate(batches)),
-                on_result,
-                executor=config.executor,
-                workers=config.workers,
-                max_retries=config.max_retries,
-                pool=pool,
-            )
-
-        report = EngineReport(
-            executor=stats.executor,
-            workers=stats.workers,
-            n_windows=plan.n_windows,
-            n_batches=len(batches),
-            pool_rebuilds=stats.pool_rebuilds,
-            route_digest=route_digest(campaign_route),
-            source_digest=source_digest(),
-            store_format_version=STORE_FORMAT_VERSION,
+            cache = ShardCache(config.checkpoint_dir, metrics=driver)
+        (run,), stats = run_shards(
+            [(config.campaign, plan, fingerprint)],
+            cache,
+            route,
+            executor=config.executor,
+            workers=config.workers,
+            max_retries=config.max_retries,
+            trace_path=config.trace_path,
+            phase="engine",
+            inject_faults=config.inject_faults,
         )
+        report = seed_report(run, stats, campaign_route)
 
         merge_started = time.perf_counter()
         with tracer.span("engine.merge", seed=config.campaign.seed) as merge_span:
             dataset = merge_shard_results(
-                config.campaign, plan, results, campaign_route.total_length_km
+                config.campaign, plan, run.results, campaign_route.total_length_km
             )
             report.merge_s = time.perf_counter() - merge_started
             # Freeze the span to the report's merge_s: the trace and the
             # report must quote the *same* float.
             merge_span.dur_s = report.merge_s
-
-        window_span = {w.index: (w.start_m, w.end_m) for w in plan.windows}
-        report.shards = [
-            ShardMetrics(
-                index=index,
-                start_km=window_span[index][0] / 1000.0,
-                end_km=window_span[index][1] / 1000.0,
-                wall_s=result.wall_s,
-                records=result.records,
-                retries=retries.get(index, 0),
-                from_checkpoint=result.from_checkpoint,
-                from_cache=result.from_cache,
-            )
-            for index, result in sorted(results.items())
-        ]
 
         if config.validate:
             with tracer.span("engine.validate"):
@@ -514,25 +533,9 @@ def run_engine(
                 with Catalog(config.store_dir) as catalog:
                     catalog.ingest(dataset)
 
-        if tracer.enabled:
-            driver = MetricsRegistry()
+        if driver is not None:
             driver.count("engine.runs", 1)
-            driver.count("engine.pool_rebuilds", stats.pool_rebuilds)
-            driver.count("engine.retries", sum(retries.values()))
-            # Fold worker snapshots in sorted shard order so the merged
-            # section is identical for every executor topology.  Replayed
-            # checkpoint shards fold too: their sidecars carry the
-            # snapshot recorded when the shard was computed, and the results
-            # dict holds each shard exactly once, so a resumed run reports
-            # the same shard-level totals as an uninterrupted one.
-            report.metrics = merge_snapshots(
-                [driver.snapshot()]
-                + [
-                    result.metrics
-                    for _, result in sorted(results.items())
-                    if result.metrics is not None
-                ]
-            )
+            report.metrics = fold_metrics(driver, [run], stats, "engine")
             tracer.emit_metrics(report.metrics, scope="engine")
 
         # total_wall_s and the root span must quote the SAME float, so the
@@ -553,7 +556,6 @@ def generate_dataset_parallel(
     include_static: bool = True,
     *,
     workers: int | None = None,
-    shards: int | None = None,
     executor: str = "process",
     checkpoint_dir: str | None = None,
     max_retries: int = 2,
@@ -566,13 +568,13 @@ def generate_dataset_parallel(
     """Generate a campaign dataset on all available cores.
 
     Drop-in parallel counterpart of :func:`repro.generate_dataset`: the same
-    ``seed`` and ``scale`` produce a bit-identical dataset at any ``workers``
-    or ``shards`` setting, because shard decomposition and per-shard RNG
+    ``seed`` and ``scale`` produce a bit-identical dataset at any
+    ``workers`` setting, because shard decomposition and per-shard RNG
     substreams depend only on the campaign configuration.
 
     Parameters beyond the :func:`repro.generate_dataset` quartet:
 
-    workers / shards / executor:
+    workers / executor:
         Execution topology (see :class:`EngineConfig`) — result-neutral.
     checkpoint_dir:
         Enables per-shard checkpoints; rerunning with the same directory and
@@ -594,7 +596,6 @@ def generate_dataset_parallel(
             include_apps=include_apps, include_static=include_static,
         ),
         workers=workers,
-        shards=shards,
         executor=executor,
         planner=PlannerParams(window_km=window_km),
         checkpoint_dir=checkpoint_dir,

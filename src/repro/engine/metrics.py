@@ -2,9 +2,10 @@
 
 An :class:`EngineReport` is produced by every engine run.  It records, per
 shard: the route span, wall time, record count, retry count, and whether the
-shard was served from a checkpoint or the shard cache — plus run-level
-aggregates (worker utilisation, pool rebuilds after hard worker deaths,
-merge time, cache hit/miss counters, checkpoint fingerprint inputs).  The
+shard was replayed from the shard store (a checkpoint directory or a
+sweep's cache) — plus run-level aggregates (worker utilisation, pool
+rebuilds after hard worker deaths, merge time, store hit/miss counters,
+checkpoint fingerprint inputs).  The
 report serialises to JSON so campaign farms can scrape it;
 ``schema_version`` lets scrapers detect format drift, and
 :meth:`EngineReport.from_obj` round-trips the JSON form.
@@ -25,8 +26,12 @@ __all__ = ["ShardMetrics", "EngineReport", "REPORT_SCHEMA_VERSION"]
 #: per-shard ``from_cache``, and run-level ``cache_hits``/``cache_misses``;
 #: 3 = per-shard ``wall_s`` at full precision, optional run-level
 #: ``metrics`` snapshot (see ``repro.obs.metrics``); 4 = the fingerprint
-#: inputs ``route_digest``, ``source_digest`` and ``store_format_version``.
-REPORT_SCHEMA_VERSION = 4
+#: inputs ``route_digest``, ``source_digest`` and ``store_format_version``;
+#: 5 = one replay flag: per-shard ``from_cache`` and run-level
+#: ``cache_hits``/``cache_misses`` count checkpoint and cache replays
+#: alike; the batch count and the separate checkpoint flag and hit count
+#: are gone (a v4 shard's checkpoint flag parses as ``from_cache``).
+REPORT_SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,7 +44,7 @@ class ShardMetrics:
     wall_s: float
     records: int
     retries: int
-    from_checkpoint: bool
+    #: Replayed from the shard store instead of computed.
     from_cache: bool = False
 
     def to_obj(self) -> dict:
@@ -58,7 +63,6 @@ class ShardMetrics:
             "wall_s": self.wall_s,
             "records": self.records,
             "retries": self.retries,
-            "from_checkpoint": self.from_checkpoint,
             "from_cache": self.from_cache,
         }
 
@@ -68,7 +72,8 @@ class ShardMetrics:
 
         Only ``index`` and the route span are required — a report written
         by a newer schema version that added or renamed auxiliary fields
-        still parses, with defaults standing in for what's missing.
+        still parses, with defaults standing in for what's missing.  A
+        schema-4 shard's checkpoint flag reads as ``from_cache``.
         """
         return cls(
             index=int(obj["index"]),
@@ -77,8 +82,9 @@ class ShardMetrics:
             wall_s=float(obj.get("wall_s", 0.0)),
             records=int(obj.get("records", 0)),
             retries=int(obj.get("retries", 0)),
-            from_checkpoint=bool(obj.get("from_checkpoint", False)),
-            from_cache=bool(obj.get("from_cache", False)),
+            from_cache=bool(
+                obj.get("from_cache", False) or obj.get("from_checkpoint", False)
+            ),
         )
 
 
@@ -89,15 +95,13 @@ class EngineReport:
     executor: str
     workers: int
     n_windows: int
-    n_batches: int
     shards: list[ShardMetrics] = field(default_factory=list)
     total_wall_s: float = 0.0
     merge_s: float = 0.0
     pool_rebuilds: int = 0
     validated: bool = False
-    #: Shards served from / missed by a sweep's shard cache (zero for a
-    #: ``run_engine`` run, whose replayed checkpoints count in
-    #: :attr:`checkpoint_hits`).
+    #: Shards replayed from / missing in the shard store (a sweep's cache
+    #: or an engine's checkpoint directory); both zero without a store.
     cache_hits: int = 0
     cache_misses: int = 0
     #: Optional merged metrics snapshot (``repro.obs.metrics`` shape:
@@ -120,16 +124,9 @@ class EngineReport:
         return sum(s.retries for s in self.shards)
 
     @property
-    def checkpoint_hits(self) -> int:
-        return sum(1 for s in self.shards if s.from_checkpoint)
-
-    @property
     def shard_wall_s(self) -> float:
         """Summed per-shard compute time (excludes replayed shards)."""
-        return sum(
-            s.wall_s for s in self.shards
-            if not (s.from_checkpoint or s.from_cache)
-        )
+        return sum(s.wall_s for s in self.shards if not s.from_cache)
 
     def cache_hit_ratio(self) -> float:
         """Hits over shard-cache lookups; 0.0 when nothing was looked up."""
@@ -155,7 +152,6 @@ class EngineReport:
             "executor": self.executor,
             "workers": self.workers,
             "n_windows": self.n_windows,
-            "n_batches": self.n_batches,
             "total_wall_s": self.total_wall_s,
             "merge_s": self.merge_s,
             "pool_rebuilds": self.pool_rebuilds,
@@ -165,7 +161,6 @@ class EngineReport:
             "cache_hit_ratio": round(self.cache_hit_ratio(), 4),
             "total_records": self.total_records,
             "total_retries": self.total_retries,
-            "checkpoint_hits": self.checkpoint_hits,
             "worker_utilisation": round(self.worker_utilisation(), 4),
             "shards": [s.to_obj() for s in self.shards],
             "route_digest": self.route_digest,
@@ -182,15 +177,14 @@ class EngineReport:
 
         Tolerant of **newer** schema versions: fields this build doesn't
         know are ignored, and auxiliary fields that a future version might
-        rename or drop fall back to defaults — only the structural quartet
-        (executor/workers/n_windows/n_batches) is required.  Scrapers that
+        rename or drop fall back to defaults — only the structural trio
+        (executor/workers/n_windows) is required.  Scrapers that
         need strict parsing should compare ``schema_version`` themselves.
         """
         return cls(
             executor=str(obj["executor"]),
             workers=int(obj["workers"]),
             n_windows=int(obj["n_windows"]),
-            n_batches=int(obj["n_batches"]),
             shards=[ShardMetrics.from_obj(s) for s in obj.get("shards", [])],
             total_wall_s=float(obj.get("total_wall_s", 0.0)),
             merge_s=float(obj.get("merge_s", 0.0)),

@@ -2,8 +2,8 @@
 
 The planner is the determinism anchor of the engine.  It decomposes the
 LA→Boston route into contiguous distance windows **as a pure function of the
-campaign configuration** — never of the worker count, batch count, or any
-runtime state.  Each window later runs as an independent shard with its own
+campaign configuration** — never of the worker count or any runtime
+state.  Each window later runs as an independent shard with its own
 RNG substream for the phones (``RngFactory(seed).shard(index)``), so the
 merged dataset is bit-identical however the windows are scheduled.
 
@@ -80,30 +80,6 @@ class ShardPlan:
     @property
     def n_windows(self) -> int:
         return len(self.windows)
-
-    def batches(self, n_shards: int | None) -> list[tuple[CampaignWindow, ...]]:
-        """Group windows into ``n_shards`` contiguous execution batches.
-
-        Batching is purely an execution concern: it decides how many windows
-        ride in one worker submission, never what any window computes, so
-        every ``n_shards`` yields the same merged dataset.  ``None`` means
-        one batch per window (maximum scheduling freedom).
-        """
-        if not self.windows:
-            return []
-        if n_shards is None:
-            return [(w,) for w in self.windows]
-        if n_shards <= 0:
-            raise EngineError(f"n_shards must be positive, got {n_shards}")
-        n = min(n_shards, len(self.windows))
-        base, extra = divmod(len(self.windows), n)
-        batches: list[tuple[CampaignWindow, ...]] = []
-        at = 0
-        for i in range(n):
-            size = base + (1 if i < extra else 0)
-            batches.append(self.windows[at:at + size])
-            at += size
-        return batches
 
 
 def nominal_cycle_duration_s(config: CampaignConfig) -> float:

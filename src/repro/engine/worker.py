@@ -1,11 +1,9 @@
 """Shard execution: the unit of work a campaign engine worker performs.
 
-:func:`execute_batch` is the top-level (picklable) entry point submitted to
-``ProcessPoolExecutor`` — or called inline by the serial fallback executor.
-A batch is an ordered tuple of :class:`ShardTask`; the worker runs each task
-to a :class:`ShardResult` and, when a checkpoint directory is configured,
-persists every result the moment it completes, so even a mid-batch worker
-death loses at most the shard in flight.
+:func:`execute_shard` is the top-level (picklable) entry point submitted to
+``ProcessPoolExecutor`` — or called inline by the serial executor.  It runs
+one :class:`ShardTask` to a :class:`ShardResult` and returns it; storing the
+result is the driver's job, never the worker's.
 
 Every shard is one route window: a :class:`DriveCampaign` over the window,
 with the phones' RNG substreams derived from
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.campaign.dataset import DriveDataset
 from repro.campaign.runner import CampaignConfig, CampaignWindow, DriveCampaign
@@ -34,7 +32,7 @@ from repro.obs.trace import get_tracer
 from repro.radio.operators import Operator
 from repro.rng import RngFactory
 
-__all__ = ["FaultSpec", "ShardTask", "ShardResult", "execute_batch"]
+__all__ = ["FaultSpec", "ShardTask", "ShardResult", "execute_shard"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,8 +63,6 @@ class ShardTask:
     config: CampaignConfig
     window: CampaignWindow
     attempt: int = 0
-    checkpoint_dir: str | None = None
-    fingerprint: str = ""
     fault: FaultSpec | None = None
     #: Pid of the orchestrating process; lets an "exit" fault detect whether
     #: it is running in a separate worker process it may safely kill.
@@ -99,8 +95,7 @@ class ShardResult:
     #: Distinct macro-grid cells of the window's own tiles, per operator.
     macro_cells: dict[Operator, int] = field(default_factory=dict)
     wall_s: float = 0.0
-    from_checkpoint: bool = False
-    #: Served from a content-addressed shard cache (see ``repro.sweep.cache``).
+    #: Replayed from the shard store (``repro.sweep.cache``), not computed.
     from_cache: bool = False
     #: Metrics snapshot (``repro.obs.metrics`` shape) recorded while the
     #: shard computed; ``None`` unless the run was traced.  Rides back on
@@ -173,26 +168,4 @@ def execute_shard(task: ShardTask) -> ShardResult:
             registry.count("engine.records_generated", result.records)
             registry.observe("engine.shard_s", result.wall_s)
             result.metrics = registry.snapshot()
-        if task.checkpoint_dir:
-            # Imported lazily: repro.sweep imports the engine package.
-            from repro.sweep.cache import ShardCache
-
-            with tracer.span("engine.checkpoint.store", index=task.index):
-                ShardCache(task.checkpoint_dir).store(
-                    task.fingerprint, task.config.seed, result
-                )
     return result
-
-
-def execute_batch(tasks: tuple[ShardTask, ...]) -> list[ShardResult]:
-    """Run a batch of shards sequentially in this process.
-
-    Each shard is checkpointed as soon as it finishes, so a crash mid-batch
-    preserves every already-completed shard.
-    """
-    return [execute_shard(task) for task in tasks]
-
-
-def with_attempt(tasks: tuple[ShardTask, ...], attempt: int) -> tuple[ShardTask, ...]:
-    """Rebuild a batch with the given attempt number (for retries)."""
-    return tuple(replace(task, attempt=attempt) for task in tasks)

@@ -103,9 +103,9 @@ class RngFactory:
 
         The sharded execution engine gives every route shard its own factory
         so that a shard's draws depend only on ``(root seed, shard index)`` —
-        never on how many workers run, in what order shards complete, or how
-        shards are batched onto workers.  That is what makes the merged
-        dataset bit-identical for any executor configuration.
+        never on how many workers run or in what order shards complete.
+        That is what makes the merged dataset bit-identical for any
+        executor configuration.
         """
         if index < 0:
             raise ValueError(f"shard index must be non-negative, got {index}")

@@ -7,16 +7,18 @@ aggregate repeated vantage-point runs.  It is built directly on the
 :mod:`repro.engine` execution core:
 
 1. the **driver** (:func:`run_sweep`) plans one shard set per seed, then
-   interleaves *all* seeds' shard batches through a single shared
-   :class:`~repro.engine.WorkerPool` — seed boundaries never serialise the
-   pipeline, and no per-seed pool is ever spun up;
+   hands all of them to the engine's shard core
+   (:func:`repro.engine.run_shards`), the same one :func:`run_engine`
+   uses: every seed's windows interleave round-robin through one executor,
+   so seed boundaries never serialise the pipeline;
 2. the **content-addressed shard cache** (:mod:`repro.sweep.cache`) sits
    under the executor: shards are keyed on ``(config_fingerprint,
    shard_index, shard_seed)``, so repeated sweeps — the same seeds again, a
    superset of seeds, a resumed run — replay overlapping shards instead of
-   recomputing them, with LRU size bounding and hit/miss counters.  It is
-   the same store the engine checkpoints into, so a sweep's ``cache_dir``
-   is a valid ``EngineConfig.checkpoint_dir``;
+   recomputing them, with LRU size bounding and hit/miss counters.  The
+   driver stores each fresh shard as it arrives.  It is the same store the
+   engine checkpoints into, so a sweep's ``cache_dir`` is a valid
+   ``EngineConfig.checkpoint_dir``;
 3. the **statistics layer** (:mod:`repro.sweep.stats`) evaluates a registry
    of paper statistics on each seed's merged dataset and aggregates them
    into mean/median/std plus percentile-bootstrap confidence intervals;
@@ -46,32 +48,27 @@ Or from the command line::
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Hashable
 
 from repro.campaign.dataset import DriveDataset
 from repro.campaign.runner import CampaignConfig
 from repro.campaign.validation import validate_dataset
 from repro.engine import (
-    EngineConfig,
     EngineReport,
     PlannerParams,
-    WorkerPool,
-    build_task_batches,
-    execute_jobs,
+    check_execution,
+    fold_metrics,
+    run_shards,
+    seed_report,
 )
-from repro.engine.checkpoint import config_fingerprint, route_digest, source_digest
+from repro.engine.checkpoint import config_fingerprint
 from repro.engine.merge import merge_shard_results
-from repro.engine.metrics import ShardMetrics
-from repro.engine.planner import ShardPlan, plan_campaign
-from repro.engine.worker import ShardResult, ShardTask
+from repro.engine.planner import plan_campaign
 from repro.errors import EngineError, SweepError
 from repro.geo.route import Route, build_cross_country_route
-from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
-from repro.store.format import STORE_FORMAT_VERSION
 from repro.sweep.cache import CacheStats, ShardCache
 from repro.sweep.report import SeedRunMetrics, SweepReport
 from repro.sweep.stats import (
@@ -104,7 +101,6 @@ class SweepConfig:
     include_static: bool = True
     #: Execution topology — one shared pool for the whole sweep.
     workers: int | None = None
-    shards: int | None = None
     executor: str = "process"
     planner: PlannerParams = field(default_factory=PlannerParams)
     #: Shared shard-cache directory; ``None`` disables caching.
@@ -135,8 +131,7 @@ class SweepConfig:
             raise SweepError("a sweep needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise SweepError(f"duplicate seeds in {self.seeds}")
-        if self.executor not in ("process", "serial"):
-            raise SweepError(f"unknown executor {self.executor!r}")
+        check_execution(self.executor, self.workers, self.max_retries, SweepError)
         if not 0.0 < self.confidence < 1.0:
             raise SweepError(f"confidence must be in (0, 1), got {self.confidence}")
         if self.bootstrap_samples < 1:
@@ -171,12 +166,12 @@ class SweepResult:
 def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
     """Replicate one campaign across seeds and aggregate the statistics.
 
-    Plans each seed's shard set, replays every shard the cache can serve,
-    interleaves all remaining batches round-robin across seeds through one
-    shared executor, merges each seed's shards into its dataset, and
-    bootstraps confidence intervals for the registered paper statistics.
-    Raises :class:`EngineError` if any shard exhausts its retry budget, and
-    :class:`SweepError` for configuration problems.
+    Plans each seed's shard set, runs every seed through the engine's shard
+    core (cache replay, then all remaining windows round-robin across seeds
+    through one shared executor), merges each seed's shards into its
+    dataset, and bootstraps confidence intervals for the registered paper
+    statistics.  Raises :class:`EngineError` if any shard exhausts its retry
+    budget, and :class:`SweepError` for configuration problems.
     """
     tracer = get_tracer(config.trace_path)
     registry = MetricsRegistry() if tracer.enabled else None
@@ -194,91 +189,25 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
             else None
         )
 
-        # -- plan every seed, replaying whatever the cache can serve ------
-        engine_cfgs: dict[int, EngineConfig] = {}
-        plans: dict[int, ShardPlan] = {}
-        fingerprints: dict[int, str] = {}
-        results: dict[int, dict[int, ShardResult]] = {}
-        retries: dict[int, dict[int, int]] = {}
-        hits: dict[int, int] = {}
-        pendings: dict[int, list] = {}
-        seed_batches: dict[int, list[tuple[ShardTask, ...]]] = {}
-
+        planned = []
         for seed in config.seeds:
             with tracer.span("sweep.plan", seed=seed) as plan_span:
-                engine_cfg = EngineConfig(
-                    campaign=config.campaign_config(seed),
-                    workers=config.workers,
-                    shards=config.shards,
-                    executor=config.executor,
-                    planner=config.planner,
-                    max_retries=config.max_retries,
-                    trace_path=config.trace_path,
-                )
-                plan = plan_campaign(
-                    engine_cfg.campaign, campaign_route, config.planner
-                )
-                fingerprint = config_fingerprint(
-                    engine_cfg.campaign, plan, campaign_route
-                )
-                indices = [w.index for w in plan.windows]
+                campaign = config.campaign_config(seed)
+                plan = plan_campaign(campaign, campaign_route, config.planner)
+                fingerprint = config_fingerprint(campaign, plan, campaign_route)
+                plan_span.set(shards=plan.n_windows)
+            planned.append((campaign, plan, fingerprint))
 
-                seed_results: dict[int, ShardResult] = {}
-                if cache is not None:
-                    seed_results.update(cache.load_many(fingerprint, seed, indices))
-                plan_span.set(shards=len(indices), cache_hits=len(seed_results))
-
-            engine_cfgs[seed] = engine_cfg
-            plans[seed] = plan
-            fingerprints[seed] = fingerprint
-            results[seed] = seed_results
-            retries[seed] = {index: 0 for index in seed_results}
-            hits[seed] = len(seed_results)
-            pendings[seed] = [
-                w for w in plan.windows if w.index not in seed_results
-            ]
-
-        def on_result(
-            tag: Hashable, outcomes: list[ShardResult], attempt: int
-        ) -> None:
-            seed, _position = tag
-            for outcome in outcomes:
-                results[seed][outcome.index] = outcome
-                retries[seed][outcome.index] = attempt
-                if cache is not None:
-                    cache.store(fingerprints[seed], seed, outcome)
-
-        # -- interleave all seeds' batches through one shared executor ----
-        # Round-robin across seeds so no seed's tail straggles behind
-        # another seed's entire campaign, and early seeds produce complete
-        # datasets (hence statistics) even while later seeds still execute.
-        with tracer.span("sweep.execute") as exec_span:
-            for seed in config.seeds:
-                seed_batches[seed] = build_task_batches(
-                    engine_cfgs[seed], plans[seed], pendings[seed],
-                    fingerprints[seed], route,
-                    trace_parent=exec_span.span_id,
-                )
-            jobs: list[tuple[Hashable, tuple[ShardTask, ...]]] = []
-            depth = max((len(b) for b in seed_batches.values()), default=0)
-            for position in range(depth):
-                for seed in config.seeds:
-                    if position < len(seed_batches[seed]):
-                        jobs.append(((seed, position), seed_batches[seed][position]))
-            exec_span.set(jobs=len(jobs))
-
-            # One pool for the entire sweep: execute_jobs leaves a borrowed
-            # pool running, so even future multi-call drivers would reuse
-            # this handle.
-            with WorkerPool(config.workers or os.cpu_count() or 1) as pool:
-                stats = execute_jobs(
-                    jobs,
-                    on_result,
-                    executor=config.executor,
-                    workers=config.workers,
-                    max_retries=config.max_retries,
-                    pool=pool,
-                )
+        runs, stats = run_shards(
+            planned,
+            cache,
+            route,
+            executor=config.executor,
+            workers=config.workers,
+            max_retries=config.max_retries,
+            trace_path=config.trace_path,
+            phase="sweep",
+        )
 
         # -- merge, validate, and report every seed -----------------------
         catalog = None
@@ -289,19 +218,14 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
         datasets: dict[int, DriveDataset] = {}
         engine_reports: dict[int, EngineReport] = {}
         seed_runs: list[SeedRunMetrics] = []
-        digests = dict(
-            route_digest=route_digest(campaign_route),
-            source_digest=source_digest(),
-            store_format_version=STORE_FORMAT_VERSION,
-        )
-        for seed in config.seeds:
-            plan = plans[seed]
+        for run in runs:
+            seed = run.campaign.seed
             merge_started = time.perf_counter()
             with tracer.span("sweep.merge", seed=seed) as merge_span:
                 dataset = merge_shard_results(
-                    engine_cfgs[seed].campaign,
-                    plan,
-                    results[seed],
+                    run.campaign,
+                    run.plan,
+                    run.results,
                     campaign_route.total_length_km,
                 )
                 merge_s = time.perf_counter() - merge_started
@@ -319,45 +243,25 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
                 with tracer.span("sweep.ingest", seed=seed):
                     catalog.ingest(dataset, seed=seed)
 
-            window_span = {w.index: (w.start_m, w.end_m) for w in plan.windows}
-            report = EngineReport(
-                executor=stats.executor,
-                workers=stats.workers,
-                n_windows=plan.n_windows,
-                n_batches=len(seed_batches[seed]),
-                cache_hits=hits[seed],
-                cache_misses=(plan.n_windows - hits[seed]) if cache else 0,
-                validated=config.validate,
-                merge_s=merge_s,
-                **digests,
-            )
-            report.shards = [
-                ShardMetrics(
-                    index=index,
-                    start_km=window_span[index][0] / 1000.0,
-                    end_km=window_span[index][1] / 1000.0,
-                    wall_s=result.wall_s,
-                    records=result.records,
-                    retries=retries[seed].get(index, 0),
-                    from_checkpoint=result.from_checkpoint,
-                    from_cache=result.from_cache,
-                )
-                for index, result in sorted(results[seed].items())
-            ]
+            report = seed_report(run, stats, campaign_route)
+            report.validated = config.validate
+            report.merge_s = merge_s
             report.total_wall_s = report.shard_wall_s
             engine_reports[seed] = report
 
             seed_runs.append(
                 SeedRunMetrics(
                     seed=seed,
-                    fingerprint=fingerprints[seed],
+                    fingerprint=run.fingerprint,
                     compute_wall_s=report.shard_wall_s,
                     records=report.total_records,
-                    n_shards=plan.n_windows,
+                    n_shards=run.plan.n_windows,
                     cache_hits=report.cache_hits,
                     cache_misses=report.cache_misses,
                     retries=report.total_retries,
-                    **digests,
+                    route_digest=report.route_digest,
+                    source_digest=report.source_digest,
+                    store_format_version=report.store_format_version,
                 )
             )
         if catalog is not None:
@@ -391,25 +295,7 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
         merged_metrics = None
         if registry is not None:
             registry.count("sweep.seeds", len(config.seeds))
-            registry.count("sweep.pool_rebuilds", stats.pool_rebuilds)
-            registry.count(
-                "sweep.retries", sum(sum(r.values()) for r in retries.values())
-            )
-            # Fold per-worker shard snapshots in report order (seed order,
-            # then shard index) so the merged section is identical for any
-            # executor topology.  Replayed shards fold too — cache/checkpoint
-            # sidecars persist the snapshot of the computation that produced
-            # them, and each (seed, index) appears exactly once — so a warm
-            # sweep reports the same shard-level totals as a cold one.
-            merged_metrics = merge_snapshots(
-                [registry.snapshot()]
-                + [
-                    result.metrics
-                    for seed in config.seeds
-                    for _, result in sorted(results[seed].items())
-                    if result.metrics is not None
-                ]
-            )
+            merged_metrics = fold_metrics(registry, runs, stats, "sweep")
             tracer.emit_metrics(merged_metrics, scope="sweep")
 
         # total_wall_s and the root span must quote the SAME float, so the
@@ -423,7 +309,7 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
             scale=config.scale,
             executor=stats.executor,
             workers=stats.workers,
-            n_windows=max(p.n_windows for p in plans.values()),
+            n_windows=max(run.plan.n_windows for run in runs),
             confidence=config.confidence,
             bootstrap_samples=config.bootstrap_samples,
             seed_runs=seed_runs,

@@ -81,24 +81,6 @@ class TestAdaptiveSizing:
         assert without < with_apps
 
 
-class TestBatches:
-    def test_none_means_one_batch_per_window(self, plan):
-        batches = plan.batches(None)
-        assert len(batches) == plan.n_windows
-        assert all(len(b) == 1 for b in batches)
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 100])
-    def test_batches_preserve_order_and_content(self, plan, n):
-        batches = plan.batches(n)
-        flattened = [w for batch in batches for w in batch]
-        assert flattened == list(plan.windows)
-        assert len(batches) == min(n, plan.n_windows)
-
-    def test_invalid_batch_count(self, plan):
-        with pytest.raises(EngineError):
-            plan.batches(0)
-
-
 class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",

@@ -404,6 +404,27 @@ class TestCli:
         assert obs_cli.main([str(path), "--validate"]) == 0
         assert "trace ok" in capsys.readouterr().out
 
+    def test_lists_merges_of_both_entry_points(self, tmp_path, capsys):
+        """Regression: the merge table only matched ``engine.merge``, so a
+        sweep trace (``sweep.merge`` spans) printed no slowest merges."""
+        path = tmp_path / "t.jsonl"
+        tracer = get_tracer(path)
+        with tracer.span("sweep.run", seeds=2):
+            for seed in (41, 42):
+                with tracer.span("sweep.merge", seed=seed):
+                    pass
+        with tracer.span("engine.run", seed=7):
+            with tracer.span("engine.merge", seed=7):
+                pass
+
+        assert obs_cli.main([str(path)]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("slowest merges"):].splitlines()[1:4]
+        assert sorted(line.split("[")[-1] for line in table) == [
+            "seed=41]", "seed=42]", "seed=7]",
+        ]
+        assert sum("sweep.merge" in line for line in table) == 2
+
     def test_validate_exits_nonzero_on_problems(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
         path.write_text("{broken\n")

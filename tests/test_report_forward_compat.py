@@ -13,13 +13,13 @@ from repro.sweep.stats import StatisticSummary
 
 def _engine_obj(**extra) -> dict:
     report = EngineReport(
-        executor="serial", workers=1, n_windows=2, n_batches=2,
+        executor="serial", workers=1, n_windows=2,
         route_digest="r" * 64, source_digest="s" * 64, store_format_version=1,
     )
     report.shards = [
         ShardMetrics(
             index=0, start_km=0.0, end_km=100.0, wall_s=1.5,
-            records=10, retries=0, from_checkpoint=False,
+            records=10, retries=0, from_cache=False,
         )
     ]
     obj = report.to_obj()
@@ -96,6 +96,27 @@ class TestEngineReportForwardCompat:
         report = EngineReport.from_obj(obj)
         assert (report.route_digest, report.source_digest) == ("", "")
         assert report.store_format_version == 0
+
+    def test_schema_4_report_parses(self):
+        """A v4 report: its checkpoint replay flag reads as ``from_cache``;
+        the batch count and checkpoint hit count it carried are ignored."""
+        obj = {
+            "schema_version": 4, "executor": "process", "workers": 2,
+            "n_windows": 2, "n_batches": 1, "checkpoint_hits": 1,
+            "cache_hits": 0, "cache_misses": 0,
+            "shards": [
+                {"index": 0, "start_km": 0.0, "end_km": 50.0, "wall_s": 0.0,
+                 "records": 4, "retries": 0,
+                 "from_checkpoint": True, "from_cache": False},
+                {"index": 1, "start_km": 50.0, "end_km": 100.0, "wall_s": 1.0,
+                 "records": 6, "retries": 1,
+                 "from_checkpoint": False, "from_cache": False},
+            ],
+        }
+        report = EngineReport.from_obj(obj)
+        assert [s.from_cache for s in report.shards] == [True, False]
+        assert report.shard_wall_s == 1.0
+        assert report.to_obj()["schema_version"] == 5
 
     def test_missing_structural_field_still_fails(self):
         obj = _engine_obj()

@@ -297,12 +297,12 @@ class TestFingerprintCommitsToSource:
         base = checkpoint.config_fingerprint(ENGINE_CAMPAIGN, plan, route)
         cold, _ = run_engine(config)
         _, warm = run_engine(config)
-        assert warm.checkpoint_hits == len(warm.shards)
+        assert warm.cache_hits == len(warm.shards)
 
         monkeypatch.setattr(checkpoint, "source_digest", lambda: "0" * 64)
         assert checkpoint.config_fingerprint(ENGINE_CAMPAIGN, plan, route) != base
         edited, report = run_engine(config)
-        assert report.checkpoint_hits == 0
+        assert report.cache_hits == 0
         assert engine_dataset_bytes(edited, tmp_path) == engine_dataset_bytes(
             cold, tmp_path
         )

@@ -67,6 +67,20 @@ class TestConfigValidation:
         with pytest.raises(SweepError):
             sweep_config(tmp_path, confidence=1.0)
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"workers": 0},
+            {"workers": -1},
+            {"max_retries": -1},
+            {"executor": "threads"},
+        ],
+    )
+    def test_rejects_bad_execution_knobs(self, tmp_path, knobs):
+        """The engine's own execution check, raised at construction."""
+        with pytest.raises(SweepError):
+            sweep_config(tmp_path, **knobs)
+
 
 class TestPerSeedDeterminism:
     def test_seed_datasets_match_standalone_engine_runs(
@@ -91,6 +105,18 @@ class TestPerSeedDeterminism:
         assert engine_dataset_bytes(
             result.datasets[SEEDS[1]], tmp_path
         ) == engine_dataset_bytes(standalone, tmp_path)
+
+    def test_process_sweep_matches_serial(self, swept, tmp_path):
+        """The process executor computes the same bytes per seed, and the
+        driver stores each shard exactly once."""
+        _, serial, _ = swept
+        result = run_sweep(sweep_config(tmp_path, executor="process", workers=2))
+        for seed in SEEDS:
+            assert engine_dataset_bytes(
+                result.datasets[seed], tmp_path
+            ) == engine_dataset_bytes(serial.datasets[seed], tmp_path)
+        n_shards = sum(r.n_shards for r in result.report.seed_runs)
+        assert result.cache.stats.stores == n_shards
 
     def test_seeds_produce_distinct_datasets(self, swept, tmp_path):
         _, result, _ = swept
@@ -189,8 +215,10 @@ class TestCacheReplay:
             )
         )
         assert engine_dataset_bytes(ds, tmp_path) == base
-        assert report.checkpoint_hits == len(report.shards)
-        assert report.n_batches == 0
+        # Nothing was recomputed: every shard replayed, none missed.
+        assert all(s.from_cache for s in report.shards)
+        assert report.cache_hits == len(report.shards)
+        assert report.cache_misses == 0
 
     def test_other_route_never_replays(self, swept, tmp_path):
         """Regression: the fingerprint ignored the route geometry, so a
